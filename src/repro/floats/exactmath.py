@@ -10,20 +10,34 @@ resolve for ratios near 1.  This module provides:
   rounded to ``p`` significant bits in any IEEE rounding direction;
 * :func:`log_enclosure` — a rational interval guaranteed to contain ``ln x``;
 * :func:`log_ratio_enclosure` — a rational interval containing ``ln(a/b)``;
+* :func:`rp_distance_enclosure` — a rational interval containing
+  ``RP(x, y) = |ln(x / y)|``;
+* :func:`rp_distance_max_upper` — the largest upper end of
+  :func:`rp_distance_enclosure` over many pairs, computed lazily;
 * :func:`exp_enclosure` — a rational interval containing ``exp x``;
 * :func:`expm1_upper` / :func:`expm1_lower` — rational bounds on ``e^x - 1``
-  used to convert RP bounds into relative-error bounds (Equation (8)).
+  used to convert RP bounds into relative-error bounds (Equation (8));
+* :func:`exact_str` — ``str`` of a rational of any size, for reports.
 
 Every bound returned here is *rigorous*: truncation errors of the underlying
 series are accounted for with explicit rational remainder terms.
+
+The logarithms come from the ``atanh`` series over exact rationals.  Its
+partial sum is accumulated over one common integer denominator and reduced
+once, so a 40-term series costs two big-number ``gcd`` calls rather than two
+per term; the reduced :class:`Fraction` is unique, so the result is the same
+one the term-by-term sum gives.  The soundness sweeps keep only the largest
+RP distance per input point, and :func:`rp_distance_max_upper` runs the full
+series only for the runs whose cheap few-term enclosure could still hold
+that maximum; the value it returns is still the exact 40-term upper end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
-from typing import Tuple
+from math import isqrt, lcm
+from typing import Dict, Iterable, Tuple
 
 __all__ = [
     "floor_log2",
@@ -35,16 +49,41 @@ __all__ = [
     "expm1_upper",
     "expm1_lower",
     "rp_distance_enclosure",
+    "rp_distance_max_upper",
+    "exact_str",
     "DEFAULT_SERIES_TERMS",
 ]
 
 DEFAULT_SERIES_TERMS = 40
+#: Series terms of the screening pass in :func:`rp_distance_max_upper`.
+SCREEN_SERIES_TERMS = 4
 
 
 def _pow2(exponent: int) -> Fraction:
     if exponent >= 0:
         return Fraction(1 << exponent)
     return Fraction(1, 1 << (-exponent))
+
+
+def exact_str(value: Fraction) -> str:
+    """``str(value)``, also for numerators and denominators of any length.
+
+    CPython refuses to convert integers of more than
+    ``sys.get_int_max_str_digits()`` digits (4,300 by default) to ``str``.
+    That limit guards ``repro serve`` against quadratic parsing of huge
+    literals, so it stays in place; the exact RP distances of long programs
+    pass it, and are printed through :mod:`decimal` instead, which converts
+    integers without it.  Values under the limit keep their ``str`` bytes.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        import decimal  # only reports this large need it
+
+        numerator = str(decimal.Decimal(value.numerator))
+        if value.denominator == 1:
+            return numerator
+        return f"{numerator}/{decimal.Decimal(value.denominator)}"
 
 
 def floor_log2(value: Fraction) -> int:
@@ -153,36 +192,56 @@ def sqrt_round(value: Fraction, precision: int = 256, mode: str = "RN") -> Fract
 # Rigorous enclosures of ln and exp
 # ---------------------------------------------------------------------------
 
-# ln 2 enclosure computed lazily from the atanh series at t = 2.
-_LN2_CACHE: Tuple[Fraction, Fraction] | None = None
+# ln 2 enclosures from the atanh series at t = 2, one per term count: a
+# cheap screening pass must never hand its low-precision ln 2 to a later
+# full-precision log_enclosure.
+_LN2_CACHE: Dict[int, Tuple[Fraction, Fraction]] = {}
 
 
 def _atanh_series_enclosure(z: Fraction, terms: int) -> Tuple[Fraction, Fraction]:
-    """Enclosure of ``atanh(z) = Σ_{k odd} z^k / k`` for ``|z| < 1``."""
+    """Enclosure of ``atanh(z) = Σ_{k odd} z^k / k`` for ``|z| < 1``.
+
+    With ``z = p / q`` and ``n = terms``, the partial sum
+    ``S_n = Σ_{i<n} p^(2i+1) / ((2i+1) q^(2i+1))`` is accumulated as one
+    integer numerator over ``L q^(2n)``, where ``L`` is the lcm of the odd
+    divisors ``1, 3, …, 2n-1``, and reduced once at the end.  The remainder
+    satisfies ``|Σ_{i>=n} z^(2i+1) / (2i+1)| <= R_n = |z|^(2n+1) / ((2n+1) (1 - z^2))``,
+    and the returned interval is ``[S_n, S_n + R_n]`` for ``z >= 0`` and
+    ``[S_n - R_n, S_n]`` otherwise.
+    """
     if not (-1 < z < 1):
         raise ValueError("atanh series requires |z| < 1")
-    total = Fraction(0)
-    power = z
-    z_squared = z * z
-    k = 1
-    for _ in range(terms):
-        total += power / k
-        power *= z_squared
-        k += 2
-    # Remainder: |Σ_{j >= k, odd} z^j / j| <= |z|^k / (k (1 - z^2)).
-    remainder = abs(power) / (k * (1 - z_squared))
+    p, q = z.numerator, z.denominator
+    p_squared, q_squared = p * p, q * q
+    common = lcm(*range(1, 2 * terms, 2))
+    numerator = 0
+    power = p  # p^(2i+1)
+    for i in range(terms):
+        # Horner over q^2: term i ends up multiplied by q^(2(n-1-i)).
+        numerator = numerator * q_squared + (common // (2 * i + 1)) * power
+        power *= p_squared
+    # S_n = numerator q / (L q^(2n)); ``power`` is now p^(2n+1), which
+    # carries the sign of z, so S_n ± R_n (the outer end) is one fraction.
+    numerator *= q
+    denominator = common * q_squared**terms
+    odd = 2 * terms + 1
+    gap = q_squared - p_squared  # q^2 (1 - z^2) > 0
+    total = Fraction(numerator, denominator)
+    outer = Fraction(
+        numerator * odd * gap + common * power * q, denominator * odd * gap
+    )
     if z >= 0:
-        return total, total + remainder
-    return total - remainder, total
+        return total, outer
+    return outer, total
 
 
 def _ln2_enclosure(terms: int = DEFAULT_SERIES_TERMS) -> Tuple[Fraction, Fraction]:
-    global _LN2_CACHE
-    if _LN2_CACHE is None:
+    cached = _LN2_CACHE.get(terms)
+    if cached is None:
         # ln 2 = 2 atanh(1/3)
         low, high = _atanh_series_enclosure(Fraction(1, 3), terms)
-        _LN2_CACHE = (2 * low, 2 * high)
-    return _LN2_CACHE
+        cached = _LN2_CACHE[terms] = (2 * low, 2 * high)
+    return cached
 
 
 def log_enclosure(value: Fraction, terms: int = DEFAULT_SERIES_TERMS) -> Tuple[Fraction, Fraction]:
@@ -247,6 +306,43 @@ def _rp_distance_cached(x: Fraction, y: Fraction, terms: int) -> Tuple[Fraction,
     if high <= 0:
         return -high, -low
     return Fraction(0), max(-low, high)
+
+
+def rp_distance_max_upper(pairs: Iterable[Tuple[Fraction, Fraction]]) -> Fraction:
+    """``max(rp_distance_enclosure(x, y)[1] for x, y in pairs)``, lazily.
+
+    The soundness sweeps measure many runs per input point but keep only
+    the largest upper end, so the full series runs only where it can be
+    that maximum.  Every distinct pair first gets a cheap enclosure
+    ``[lo_i, hi_i]`` at ``m = SCREEN_SERIES_TERMS`` terms; the full
+    ``n = DEFAULT_SERIES_TERMS``-term upper end is then computed only for
+    the pairs with ``hi_i >= max_j lo_j``.  The empty maximum is ``0``.
+
+    Why this is exact: the enclosures nest as the term count grows.  For
+    ``z >= 0`` write the remainder as a series,
+    ``R_n = z^(2n+1) / ((2n+1) (1 - z^2)) = Σ_{j>=n} z^(2j+1) / (2n+1)``.
+    For ``m <= n``, ``S_m <= S_n`` (the extra terms are non-negative) and
+    ``S_n + R_n = S_m + Σ_{m<=i<n} z^(2i+1) / (2i+1) + Σ_{j>=n} z^(2j+1) / (2n+1)
+    <= S_m + Σ_{j>=m} z^(2j+1) / (2m+1) = S_m + R_m``, so the ``n``-term
+    atanh interval lies inside the ``m``-term one (``z < 0`` is the
+    mirror image).  The ln 2 interval nests the same way, ``ln t + k ln 2``
+    is formed by interval arithmetic (monotone under inclusion) and the
+    final ``|·|`` maps an interval to its exact image (also monotone).  So
+    the ``n``-term interval of every pair lies inside its ``m``-term one, and its upper end ``u_i`` satisfies ``lo_i <= u_i <= hi_i``.  If
+    pair ``k`` attains ``max_i u_i``, then ``hi_k >= u_k >= u_j >= lo_j``
+    for every ``j``, so ``k`` survives the screen and the maximum over the
+    survivors is the maximum over all pairs.
+    """
+    distinct = list(dict.fromkeys((Fraction(x), Fraction(y)) for x, y in pairs))
+    if not distinct:
+        return Fraction(0)
+    cheap = [rp_distance_enclosure(x, y, SCREEN_SERIES_TERMS) for x, y in distinct]
+    floor = max(low for low, _high in cheap)
+    return max(
+        rp_distance_enclosure(x, y)[1]
+        for (x, y), (_low, high) in zip(distinct, cheap)
+        if high >= floor
+    )
 
 
 def exp_enclosure(value: Fraction, terms: int = DEFAULT_SERIES_TERMS) -> Tuple[Fraction, Fraction]:

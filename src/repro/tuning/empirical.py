@@ -36,7 +36,7 @@ from ..core.semantics.evaluator import (
 )
 from ..core.semantics.randomized import stochastic_rounder
 from ..core.signature import standard_signature
-from ..floats.exactmath import rp_distance_enclosure
+from ..floats.exactmath import exact_str, rp_distance_max_upper
 from ..floats.formats import STANDARD_FORMATS
 from ..floats.rounding import RoundingMode, round_to_precision
 from ..validation.harness import ValidationSubject, _lift_argument, _sample_inputs
@@ -82,7 +82,7 @@ class MixedSummary:
             "runs": self.runs,
             "max_relative_error": float(self.max_rel),
             "max_rp": float(self.max_rp),
-            "max_rp_exact": str(self.max_rp),
+            "max_rp_exact": exact_str(self.max_rp),
             "rounding_slack": float(self.rounding_slack),
             "max_sqrt_calls": self.max_sqrt_calls,
             "seconds": self.seconds,
@@ -128,12 +128,13 @@ def sample_point_mixed(
         signature = standard_signature()
 
         max_rel = Fraction(0)
-        max_rp = Fraction(0)
         worst_slack = Fraction(0)
         runs = 0
+        # (ideal, value) per run; the RP maximum is measured once, lazily.
+        rp_pairs: List[Tuple[Fraction, Fraction]] = []
 
         def run_with(round_site) -> None:
-            nonlocal max_rel, max_rp, worst_slack, runs
+            nonlocal max_rel, worst_slack, runs
             slack = [Fraction(0)]
 
             def rounder(node: A.Rnd, value: Fraction) -> Fraction:
@@ -150,11 +151,9 @@ def sample_point_mixed(
             if value <= 0:
                 raise LnumError(f"mixed-precision execution produced non-positive {value}")
             rel = abs(value / ideal - 1)
-            _low, rp_high = rp_distance_enclosure(ideal, value)
+            rp_pairs.append((ideal, value))
             if rel > max_rel:
                 max_rel = rel
-            if rp_high > max_rp:
-                max_rp = rp_high
             if slack[0] > worst_slack:
                 worst_slack = slack[0]
 
@@ -179,7 +178,7 @@ def sample_point_mixed(
             inputs=inputs,
             runs=runs,
             max_rel=max_rel,
-            max_rp=max_rp,
+            max_rp=rp_distance_max_upper(rp_pairs),
             rounding_slack=worst_slack,
             sqrt_calls=sqrt_calls,
         )

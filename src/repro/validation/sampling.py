@@ -28,7 +28,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core import ast as A
 from ..core import types as T
@@ -40,7 +40,7 @@ from ..core.semantics.evaluator import (
 )
 from ..core.semantics.randomized import stochastic_rounder
 from ..core.signature import Operation, Signature, standard_signature
-from ..floats.exactmath import rp_distance_enclosure
+from ..floats.exactmath import exact_str, rp_distance_max_upper
 from ..floats.rounding import RoundingMode, round_to_precision
 
 __all__ = [
@@ -116,9 +116,9 @@ class EmpiricalSummary:
             "points": self.points,
             "runs": self.runs,
             "max_relative_error": float(self.max_rel),
-            "max_relative_error_exact": str(self.max_rel),
+            "max_relative_error_exact": exact_str(self.max_rel),
             "max_rp": float(self.max_rp),
-            "max_rp_exact": str(self.max_rp),
+            "max_rp_exact": exact_str(self.max_rp),
             "worst_inputs": {
                 name: str(value) for name, value in self.worst_inputs.items()
             },
@@ -198,26 +198,25 @@ def sample_point(
         sqrt_calls = sqrt_counter[0]
 
         max_rel = Fraction(0)
-        max_rp = Fraction(0)
         worst_mode = ""
         runs = 0
         rounds = 0
+        # (ideal, value) per run; the RP maximum is measured once, lazily.
+        rp_pairs: List[Tuple[Fraction, Fraction]] = []
 
         def fold(value: Fraction, mode: str, executed_rounds: int) -> None:
-            nonlocal max_rel, max_rp, worst_mode, runs, rounds
+            nonlocal max_rel, worst_mode, runs, rounds
             runs += 1
             if executed_rounds > rounds:
                 rounds = executed_rounds
             if value <= 0:
                 raise LnumError(f"{mode} execution produced non-positive {value}")
             rel = abs(value / ideal - 1)
-            _low, rp_high = rp_distance_enclosure(ideal, value)
+            rp_pairs.append((ideal, value))
             if rel > max_rel or not worst_mode:
                 worst_mode = mode
             if rel > max_rel:
                 max_rel = rel
-            if rp_high > max_rp:
-                max_rp = rp_high
 
         # Every execution is instrumented to count the roundings it
         # actually performed (a rounded guard can send different modes
@@ -257,7 +256,7 @@ def sample_point(
             inputs=inputs,
             runs=runs,
             max_rel=max_rel,
-            max_rp=max_rp,
+            max_rp=rp_distance_max_upper(rp_pairs),
             worst_mode=worst_mode,
             rounds=rounds,
             sqrt_calls=sqrt_calls,

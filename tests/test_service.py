@@ -898,6 +898,23 @@ class TestValidateOp:
 
         run(scenario())
 
+    def test_validate_reports_exact_values_past_the_digit_limit(self):
+        with open(os.path.join(EXAMPLES, "pythagorean_sum.lnum")) as handle:
+            source = handle.read()
+
+        async def scenario():
+            service = await make_service()
+            response = await service.handle({**self.REQUEST, "source": source})
+            assert response["status"] == "ok", response
+            exact = [
+                program["empirical"]["max_rp_exact"]
+                for program in response["report"]["reports"]
+            ]
+            assert max(len(text) for text in exact) > 4300
+            await service.stop()
+
+        run(scenario())
+
     def test_validate_key_is_distinct_from_analyze(self):
         async def scenario():
             service = await make_service()

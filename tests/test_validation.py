@@ -391,6 +391,34 @@ class TestCli:
         with pytest.raises(ValueError):
             ValidationOptions(points=0)
 
+    def test_json_prints_exact_values_past_the_digit_limit(self, capsys):
+        import json
+
+        from repro.cli import main
+
+        # The 40-term RP enclosure of PythagoreanSum's runs has numerators
+        # of over 10,000 digits, more than CPython's int-to-str limit.
+        code = main(
+            [
+                "validate",
+                os.path.join(EXAMPLES, "pythagorean_sum.lnum"),
+                "--points",
+                "1",
+                "--samples",
+                "2",
+                "--no-cache",
+                "--json",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        exact = [entry["empirical"]["max_rp_exact"] for entry in payload["programs"]]
+        assert max(len(text) for text in exact) > 4300
+        for entry, text in zip(payload["programs"], exact):
+            numerator, denominator = (int(part[:300]) for part in text.split("/"))
+            assert numerator > 0 and denominator > 0
+            assert entry["empirical"]["max_rp"] > 0
+
     def test_json_and_bench_report(self, tmp_path, capsys):
         import json
 
