@@ -130,7 +130,6 @@ def analyze_term(
     name: str = "<term>",
     annotation: Optional[T.Type] = None,
     memo=None,
-    engine: str = "auto",
     instrumentation=None,
 ) -> ErrorAnalysis:
     """Infer the type of a term and derive its error bounds.
@@ -138,20 +137,16 @@ def analyze_term(
     ``memo`` (a :class:`~repro.core.inference.JudgementMemo`) carries
     subterm judgements across calls; the term is hash-consed first so its
     subterms have the stable identities the memo keys on.  Reports are
-    identical with and without a memo — only the work changes.  ``engine``
-    selects the inference engine exactly like :func:`repro.core.inference.infer`
-    (``auto``/``interpreted``/``compiled``).  ``instrumentation`` (a
-    :class:`repro.obs.instrument.Instrumentation`) accumulates the
-    per-phase engine timings — ``lower``/``execute``/``convert`` on the
-    compiled path, ``interpret`` plus judgement-memo hit counts on the
-    interpreted one.
+    identical with and without a memo — only the work changes.
+    ``instrumentation`` (a :class:`repro.obs.instrument.Instrumentation`)
+    accumulates the engine's ``interpret`` time and judgement-memo hit
+    counts.
     """
     start = time.perf_counter()
     if memo is not None and memo is not False:
         term = A.intern_term(term)
     result: InferenceResult = infer(
-        term, skeleton, config, memo=memo, engine=engine,
-        instrumentation=instrumentation,
+        term, skeleton, config, memo=memo, instrumentation=instrumentation,
     )
     elapsed = time.perf_counter() - start
     grade = _final_monadic_grade(result.type)
@@ -184,7 +179,6 @@ def analyze_definition(
     definition: Definition,
     config: InferenceConfig | None = None,
     memo=None,
-    engine: str = "auto",
     instrumentation=None,
 ) -> ErrorAnalysis:
     """Analyse one ``function`` definition of a parsed program."""
@@ -196,7 +190,6 @@ def analyze_definition(
         name=definition.name,
         annotation=definition.return_annotation,
         memo=memo,
-        engine=engine,
         instrumentation=instrumentation,
     )
 
@@ -205,13 +198,12 @@ def analyze_program(
     program: Program,
     config: InferenceConfig | None = None,
     memo=None,
-    engine: str = "auto",
     instrumentation=None,
 ) -> List[ErrorAnalysis]:
     """Analyse every definition of a program, in order."""
     return [
         analyze_definition(
-            program, definition, config, memo=memo, engine=engine,
+            program, definition, config, memo=memo,
             instrumentation=instrumentation,
         )
         for definition in program.definitions

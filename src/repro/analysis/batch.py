@@ -279,7 +279,6 @@ def _analyze_item(
     cache: Optional[AnalysisCache] = None,
     memo=None,
     memo_entries: Optional[int] = None,
-    engine: str = "auto",
 ) -> ProgramReport:
     """Analyse one program; analysis errors become failed reports.
 
@@ -312,7 +311,6 @@ def _analyze_item(
                     config,
                     name=core.name or item.name,
                     memo=memo,
-                    engine=engine,
                     instrumentation=instrumentation,
                 )
             ]
@@ -328,13 +326,12 @@ def _analyze_item(
                 analyses = [
                     analyze_term(
                         program.main, {}, config, name="<main>", memo=memo,
-                        engine=engine, instrumentation=instrumentation,
+                        instrumentation=instrumentation,
                     )
                 ]
             else:
                 analyses = analyze_program(
-                    program, config, memo=memo, engine=engine,
-                    instrumentation=instrumentation,
+                    program, config, memo=memo, instrumentation=instrumentation,
                 )
         return ProgramReport(
             name=item.name,
@@ -474,12 +471,10 @@ class BatchAnalyzer:
         cache: Optional[AnalysisCache] = None,
         config: Optional[InferenceConfig] = None,
         pool: Optional[PoolHandle] = None,
-        engine: str = "auto",
     ) -> None:
         self.jobs = pool.jobs if pool is not None else max(1, int(jobs or 1))
         self.cache = cache
         self.config = config
-        self.engine = engine
         self.pool = pool if pool is not None else PoolHandle(self.jobs)
 
     def close(self) -> None:
@@ -553,7 +548,7 @@ class BatchAnalyzer:
         computed = self.map_tasks(
             _analyze_item,
             [
-                (items[index], self.config, local_cache, None, None, self.engine)
+                (items[index], self.config, local_cache)
                 for index in pending
             ],
         )

@@ -170,14 +170,12 @@ def memo_report() -> dict:
     their sizes so operators can watch occupancy against the caps.
     """
     from ..core.ast import ast_memo_stats
-    from ..core.compiled import compiled_memo_stats
     from ..core.grades import grade_memo_stats
     from ..floats import exactmath
 
     report = {
         "ast": ast_memo_stats(),
         "grades": grade_memo_stats(),
-        "compiled": compiled_memo_stats(),
         # Corrupt disk-cache entries set aside as *.corrupt files
         # (process-wide, across every cache instance).
         "cache_quarantine": {

@@ -93,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="cache location (default $REPRO_CACHE_DIR or ~/.cache/repro-lnum)",
     )
-    batch.add_argument(
-        "--engine",
-        choices=["auto", "compiled", "interpreted"],
-        default="auto",
-        help="inference engine (auto: compiled when numpy is available)",
-    )
     _add_instantiation_arguments(batch)
 
     table = subparsers.add_parser("table", help="regenerate one of the paper's tables")
@@ -152,13 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--deadline", type=float, default=60.0, metavar="SECONDS",
         help="default per-request deadline (0 disables)",
-    )
-    serve.add_argument(
-        "--engine",
-        choices=["auto", "compiled", "interpreted"],
-        default="auto",
-        help="inference engine for analysis jobs (auto: compiled when "
-        "numpy is available and no judgement memo applies)",
     )
     serve.add_argument(
         "--log-level",
@@ -499,13 +486,6 @@ def _configure_perf_parser(parser: argparse.ArgumentParser) -> None:
         help="comma-separated node-count targets (default 1000,10000,100000; quick: 1000)",
     )
     parser.add_argument(
-        "--engine",
-        choices=["both", "compiled", "interpreted"],
-        default="both",
-        help="which inference engines to time (default both: adds "
-        "compiled_seconds/compiled_speedup columns)",
-    )
-    parser.add_argument(
         "--baseline",
         default=None,
         metavar="PATH",
@@ -619,9 +599,7 @@ def _command_batch(arguments: argparse.Namespace) -> int:
     cache = None
     if not arguments.no_cache:
         cache = AnalysisCache(directory=arguments.cache_dir or default_cache_directory())
-    engine = BatchAnalyzer(
-        jobs=arguments.jobs, cache=cache, config=config, engine=arguments.engine
-    )
+    engine = BatchAnalyzer(jobs=arguments.jobs, cache=cache, config=config)
     result = engine.analyze_paths(arguments.paths)
     if arguments.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -677,7 +655,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         default_deadline_seconds=arguments.deadline or None,
         inference=_config_from_arguments(arguments),
-        engine=arguments.engine,
         log_level=arguments.log_level,
         log_json=arguments.log_json,
         faults=arguments.faults or None,
@@ -720,7 +697,6 @@ def _serve_cluster(arguments: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         default_deadline_seconds=arguments.deadline or None,
         inference=_config_from_arguments(arguments),
-        engine=arguments.engine,
         log_level=arguments.log_level,
         log_json=arguments.log_json,
         faults=arguments.faults or None,

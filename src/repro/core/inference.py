@@ -36,15 +36,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-import logging
-import threading
-from collections import OrderedDict
-
 from . import ast as A
-from . import compiled
 from . import types as T
 from .environment import Context
-from .errors import LnumError, TypeInferenceError
+from .errors import TypeInferenceError
 from .grades import EPS, Grade, GradeLike, ONE, ZERO, as_grade
 from .signature import Signature, standard_signature
 from .subtyping import is_subtype, join
@@ -53,15 +48,11 @@ __all__ = [
     "InferenceConfig",
     "InferenceResult",
     "JudgementMemo",
-    "engine_fallback_stats",
     "enumerate_rnd_sites",
     "infer",
     "infer_type",
     "check_term",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class InferenceConfig:
@@ -78,9 +69,9 @@ class InferenceConfig:
     error grade, consumed in the engine's firing order (the order
     :func:`enumerate_rnd_sites` reports).  This models mixed-precision
     programs where different roundings use different formats; because the
-    grades are positional, inference is forced onto the interpreted engine
-    with memoization disabled (judgement memos key on subterm identity, not
-    position, and would conflate sites).
+    grades are positional, inference runs with memoization disabled
+    (judgement memos key on subterm identity, not position, and would
+    conflate sites).
     """
 
     signature: Signature = field(default_factory=standard_signature)
@@ -250,77 +241,11 @@ def _resolve_memo(term: A.Term, memo: MemoLike):
     return memo
 
 
-#: Valid values of ``infer``'s ``engine`` parameter.
-_ENGINES = ("auto", "interpreted", "compiled")
-
-
-# ---------------------------------------------------------------------------
-# Graceful degradation: compiled-engine failures fall back to the
-# interpreter (the two engines agree bit-for-bit on every judgement), and
-# the failing term's plan is quarantined so later requests skip straight
-# to the interpreted path instead of re-failing.
-# ---------------------------------------------------------------------------
-
-#: Intern ids whose compiled plans raised; bounded so an adversarial
-#: stream of distinct failing terms cannot grow the set without limit.
-_QUARANTINE_CAP = 1024
-_quarantined_plans: "OrderedDict[int, bool]" = OrderedDict()
-_fallback_lock = threading.Lock()
-_fallback_count = [0]
-
-
-def engine_fallback_stats() -> Dict[str, int]:
-    """``{"fallbacks", "quarantined"}`` counters for /stats and metrics."""
-    with _fallback_lock:
-        return {
-            "fallbacks": _fallback_count[0],
-            "quarantined": len(_quarantined_plans),
-        }
-
-
-def _plan_quarantined(term_id: Optional[int]) -> bool:
-    if term_id is None:
-        return False
-    with _fallback_lock:
-        return term_id in _quarantined_plans
-
-
-def _quarantine_plan(term_id: Optional[int], error: BaseException) -> None:
-    logger.warning(
-        "compiled engine failed (%s: %s); falling back to interpreted",
-        type(error).__name__, error,
-    )
-    with _fallback_lock:
-        _fallback_count[0] += 1
-        if term_id is not None:
-            _quarantined_plans[term_id] = True
-            _quarantined_plans.move_to_end(term_id)
-            while len(_quarantined_plans) > _QUARANTINE_CAP:
-                _quarantined_plans.popitem(last=False)
-
-
-def _count_fallback() -> None:
-    with _fallback_lock:
-        _fallback_count[0] += 1
-
-
-def _active_fault_plan():
-    """The active fault plan, without importing :mod:`repro.faults` eagerly.
-
-    The kernel must stay importable on its own; the lazy import also keeps
-    the no-faults hot path to one function call and a ``None`` check.
-    """
-    from ..faults import active_plan
-
-    return active_plan()
-
-
 def infer(
     term: A.Term,
     skeleton: Mapping[str, T.Type] | None = None,
     config: InferenceConfig | None = None,
     memo: MemoLike = None,
-    engine: str = "auto",
     instrumentation=None,
 ) -> InferenceResult:
     """Run sensitivity inference on ``term`` under the skeleton ``Γ•``.
@@ -332,57 +257,15 @@ def infer(
     memo on; a :class:`JudgementMemo` instance is consulted and populated,
     carrying judgements across calls (incremental reanalysis, the
     service's shared memo).
-
-    ``engine`` selects the rule evaluator.  ``"interpreted"`` is the
-    explicit-stack walker below; ``"compiled"`` lowers the term to a flat
-    execution plan and runs the bytecode loop of
-    :mod:`repro.core.compiled` (identical judgements, no judgement memo);
-    ``"auto"`` (default) picks the compiled engine when numpy is importable
-    and no judgement memo is in play, and the interpreted engine otherwise
-    — so memo-carrying callers (the service, incremental reanalysis,
-    DAG-shared terms under the auto heuristic) keep their cross-call
-    judgement reuse.
     """
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown inference engine {engine!r}; expected one of {_ENGINES}"
-        )
     config = config or InferenceConfig()
     if config.rnd_site_grades is not None:
-        # Per-site grades are positional: only the interpreted engine with
-        # memoization off visits every ``rnd`` occurrence in a deterministic
-        # order (memo hits would skip occurrences, conflating sites).
-        engine = "interpreted"
+        # Per-site grades are positional: only with memoization off does
+        # the engine visit every ``rnd`` occurrence in a deterministic order
+        # (memo hits would skip occurrences, conflating sites).
         memo = False
     resolved_memo = _resolve_memo(term, memo)
     timed = instrumentation is not None and instrumentation.enabled
-    if engine == "compiled" or (
-        engine == "auto" and resolved_memo is None and compiled.have_numpy()
-    ):
-        term_id = getattr(term, "_intern_id", None)
-        if _plan_quarantined(term_id):
-            # A previous compiled run of this exact term failed: degrade
-            # to the interpreter immediately instead of re-failing.  The
-            # two engines agree bit-for-bit, so callers cannot tell.
-            _count_fallback()
-        else:
-            try:
-                fault_plan = _active_fault_plan()
-                if fault_plan is not None and fault_plan.should("compiled_error"):
-                    from ..faults import InjectedFault
-
-                    raise InjectedFault("injected compiled-engine failure")
-                context, tau = compiled.infer_compiled(
-                    term, skeleton or {}, config, instrumentation
-                )
-                return InferenceResult(context, tau)
-            except LnumError:
-                # A genuine inference verdict (ill-typed program, failed
-                # annotation): both engines would say the same — raise.
-                raise
-            except Exception as error:
-                _quarantine_plan(term_id, error)
-        # Fall through to the interpreted engine below.
     engine_obj = _Engine(config)
     if timed:
         import time
@@ -431,7 +314,7 @@ def enumerate_rnd_sites(
 ) -> List[A.Rnd]:
     """The ``rnd`` occurrences of ``term`` in inference firing order.
 
-    Runs the interpreted engine with a collector and no memo, so the list
+    Runs the engine with a collector and no memo, so the list
     order is exactly the order in which :attr:`InferenceConfig.rnd_site_grades`
     entries are consumed — the canonical site numbering shared by the
     precision tuner's probe, certification, and evaluation legs.  Shared

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import ast as A
 from .. import types as T
 from ..errors import ParseError
-from ..grades import parse_grade
+from ..grades import Grade, GradeError, parse_grade
 from ..signature import Signature, standard_signature
 from .lexer import Token, tokenize
 
@@ -147,6 +147,13 @@ class _Parser:
     def _error(self, message: str, token: Optional[Token] = None) -> ParseError:
         token = token or self._peek()
         return ParseError(message, token.line, token.column)
+
+    def _parse_grade(self, text: str, token: Token) -> Grade:
+        """Parse a grade annotation; a malformed one is located at ``token``."""
+        try:
+            return parse_grade(text)
+        except GradeError as error:
+            raise self._error(f"invalid grade annotation: {error}", token) from None
 
     def _expect_punct(self, text: str) -> Token:
         token = self._advance()
@@ -406,11 +413,11 @@ class _Parser:
             # Box literal: [e]{grade}  (grade defaults to 1).
             inner = self._ensure_value(self._parse_expression(bindings), bindings)
             self._expect_punct("]")
-            scale = "1"
+            scale, scale_token = "1", token
             if self._peek().is_punct("{"):
-                self._advance()
+                scale_token = self._advance()
                 scale = self._collect_until("}")
-            return A.Box(inner, parse_grade(scale))
+            return A.Box(inner, self._parse_grade(scale, scale_token))
         raise self._error(f"unexpected token {token.text!r} in expression", token)
 
     def _collect_until(self, closing: str) -> str:
@@ -461,12 +468,12 @@ class _Parser:
             self._advance()
             grade_text = self._collect_until("]")
             inner = self._parse_atomic_type()
-            return T.Monadic(parse_grade(grade_text), inner)
+            return T.Monadic(self._parse_grade(grade_text, token), inner)
         if token.is_punct("!") and self._peek().is_punct("["):
             self._advance()
             grade_text = self._collect_until("]")
             inner = self._parse_atomic_type()
-            return T.Bang(parse_grade(grade_text), inner)
+            return T.Bang(self._parse_grade(grade_text, token), inner)
         if token.is_punct("("):
             first = self.parse_type()
             if self._peek().is_punct(","):

@@ -23,8 +23,6 @@ site                where it fires
 ``drop_connection`` the server write path — close without responding
 ``corrupt_cache``   :meth:`AnalysisCache._write_disk` — garbage the
                     just-written pickle so a later read must quarantine
-``compiled_error``  :func:`repro.core.inference.infer` — the compiled
-                    engine raises, exercising the interpreted fallback
 =================== =======================================================
 
 See ``docs/robustness.md`` for the plan grammar and the degradation
@@ -34,7 +32,6 @@ matrix each site is meant to exercise.
 from .plan import (
     FAULT_SITES,
     FaultPlan,
-    InjectedFault,
     activate,
     active_plan,
     deactivate,
@@ -45,7 +42,6 @@ from .plan import (
 __all__ = [
     "FAULT_SITES",
     "FaultPlan",
-    "InjectedFault",
     "activate",
     "active_plan",
     "deactivate",

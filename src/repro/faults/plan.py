@@ -35,7 +35,6 @@ from typing import Dict, FrozenSet, Optional, Tuple
 __all__ = [
     "FAULT_SITES",
     "FaultPlan",
-    "InjectedFault",
     "activate",
     "active_plan",
     "deactivate",
@@ -52,16 +51,11 @@ FAULT_SITES = (
     "truncate_frame",
     "drop_connection",
     "corrupt_cache",
-    "compiled_error",
 )
 
 _ENV_VAR = "REPRO_FAULTS"
 
 _SCALE = float(1 << 64)
-
-
-class InjectedFault(RuntimeError):
-    """Raised by sites that inject by raising (``compiled_error``)."""
 
 
 class _Site:

@@ -1,4 +1,4 @@
-"""First-class observability for the analysis service and engines.
+"""First-class observability for the analysis service and engine.
 
 Three dependency-free building blocks, wired through every layer of the
 service (see ``docs/observability.md`` for the catalog):
@@ -11,8 +11,8 @@ service (see ``docs/observability.md`` for the catalog):
   propagated over the NDJSON protocol as the optional ``"trace"``
   member and echoed in responses;
 * :mod:`repro.obs.instrument` — the near-zero-cost per-phase timing
-  handle threaded through ``analyze_term`` and both inference engines
-  (parse / lower / execute / convert breakdowns);
+  handle threaded through ``analyze_term`` and the inference engine
+  (parse / interpret breakdowns);
 * :mod:`repro.obs.logs` — the structured-logging bootstrap behind
   ``repro serve --log-level/--log-json`` (JSON lines to stderr,
   per-worker process names; no configuration side effects on import).

@@ -1,20 +1,19 @@
-"""Near-zero-cost per-phase timing for the inference engines.
+"""Near-zero-cost per-phase timing for the inference engine.
 
 An :class:`Instrumentation` handle accumulates named phase durations
-(``parse`` / ``lower`` / ``execute`` / ``convert`` / ``interpret``) and
-event counts (judgement-memo hits).  The engines take the handle as an
-optional parameter defaulting to :data:`NULL_INSTRUMENTATION`, a shared
-no-op whose ``enabled`` flag lets hot paths skip even the
-``perf_counter`` calls::
+(``parse`` / ``interpret``) and event counts (judgement-memo hits).
+:func:`repro.core.inference.infer` takes the handle as an optional
+parameter; :data:`NULL_INSTRUMENTATION` is a shared no-op whose
+``enabled`` flag lets hot paths skip even the ``perf_counter`` calls::
 
     if instrumentation.enabled:
         started = time.perf_counter()
     ...
     if instrumentation.enabled:
-        instrumentation.observe("execute", time.perf_counter() - started)
+        instrumentation.observe("interpret", time.perf_counter() - started)
 
-Phases are recorded at *stage boundaries only* — never per node or per
-opcode — so the enabled handle costs a handful of clock reads per
+Phases are recorded at *stage boundaries only* — never per node — so
+the enabled handle costs a handful of clock reads per
 analysis.  CI gates the measured overhead on the perf ladder families at
 5% (``repro perf --overhead``).
 """

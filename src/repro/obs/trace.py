@@ -11,12 +11,12 @@ the ``ok``/``busy``/``timeout`` response echoes the whole thing under a
         {"name": "router.route", "seconds": 0.0003},
         {"name": "cache.lookup", "seconds": 0.0001, "tier": "miss"},
         {"name": "queue.wait", "seconds": 0.002},
-        {"name": "engine.execute", "seconds": 0.041, "engine": "compiled"},
+        {"name": "engine.interpret", "seconds": 0.041, "memo_hits": 12},
         ...]}}
 
 Spans are duration records, listed in the order the hops appended them;
-attribute members ride flat alongside ``name``/``seconds`` (a tier, an
-engine name, a hit count).  ``docs/observability.md`` lists every span
+attribute members ride flat alongside ``name``/``seconds`` (a tier, a
+hit count).  ``docs/observability.md`` lists every span
 the service emits.
 """
 

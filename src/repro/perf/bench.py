@@ -56,11 +56,10 @@ BENCH_FILENAME = "BENCH_inference.json"
 #: (``nodes`` keeps reporting tree size for baseline compatibility), the
 #: shared-subterm ``infer/dag_*`` rows add ``nomemo_seconds`` /
 #: ``memo_speedup`` / memo hit counters, and the ``incremental/*`` rows
-#: record edit-replay reanalysis costs.  3 — inference rows gain
-#: ``compiled_seconds`` (the compiled bytecode kernel, plan cache warm) and
-#: ``compiled_speedup`` (``seconds / compiled_seconds``; both engines are
-#: exact, so the speedup is measured on identical judgements); ``seconds``
-#: keeps meaning the interpreted engine so old baselines stay comparable.
+#: record edit-replay reanalysis costs.  3 — inference rows gained
+#: ``compiled_seconds``/``compiled_speedup`` columns, written no more since
+#: that engine was removed; ``seconds`` kept its meaning throughout, so
+#: schema-3 baselines stay comparable.
 REPORT_SCHEMA = 3
 
 #: Node-count targets for the inference families.
@@ -113,11 +112,8 @@ def _inference_benchmarks(
     include_legacy: bool,
     quick: bool,
     progress: Callable[[str], None],
-    engine: str = "both",
 ) -> List[Dict[str, object]]:
     config = InferenceConfig()
-    time_interpreted = engine in ("both", "interpreted")
-    time_compiled = engine in ("both", "compiled")
     results: List[Dict[str, object]] = []
     for family_name in family_names:
         for target in sizes:
@@ -132,80 +128,35 @@ def _inference_benchmarks(
                 f"(parameter {parameter})"
             )
 
-            seconds: Optional[float] = None
-            repeats = 1
-            if time_interpreted:
-                # ``seconds`` is the interpreted engine (with its usual
-                # automatic judgement-memo heuristics), exactly what every
-                # pre-schema-3 baseline recorded.
-                once = _best_of(
-                    lambda: infer(term, skeleton, config, engine="interpreted"), 1
-                )
-                repeats = _repeats_for(once, quick)
-                seconds = (
-                    min(
-                        once,
-                        _best_of(
-                            lambda: infer(term, skeleton, config, engine="interpreted"),
-                            repeats - 1,
-                        ),
-                    )
-                    if repeats > 1
-                    else once
-                )
-
-            compiled_seconds: Optional[float] = None
-            if time_compiled:
-                # Warm the plan cache untimed: lowering is a one-off cost
-                # per interned program, amortized across reanalyses.
-                infer(term, skeleton, config, engine="compiled")
-                compiled_once = _best_of(
-                    lambda: infer(term, skeleton, config, engine="compiled"), 1
-                )
-                compiled_repeats = _repeats_for(compiled_once, quick)
-                compiled_seconds = (
-                    min(
-                        compiled_once,
-                        _best_of(
-                            lambda: infer(term, skeleton, config, engine="compiled"),
-                            compiled_repeats - 1,
-                        ),
-                    )
-                    if compiled_repeats > 1
-                    else compiled_once
-                )
-            if seconds is None:
-                # --engine compiled: the compiled timing is the headline.
-                seconds = compiled_seconds
+            # ``seconds`` is the engine with its usual automatic
+            # judgement-memo heuristics.
+            once = _best_of(lambda: infer(term, skeleton, config), 1)
+            repeats = _repeats_for(once, quick)
+            seconds = (
+                min(once, _best_of(lambda: infer(term, skeleton, config), repeats - 1))
+                if repeats > 1
+                else once
+            )
 
             # For shared-subterm families, also time the engine with the
             # judgement memo forced off (tree-cost) and capture the memo
             # traffic of one fresh memoized run (DAG-cost).
             nomemo_seconds: Optional[float] = None
             memo_stats: Optional[Dict[str, object]] = None
-            if shared and time_interpreted:
+            if shared:
                 # Calibrate repeats on the unmemoized run's own cost: at
                 # full size it is 20-40x slower than the memoized timing,
                 # so borrowing `repeats` from above would re-run a
                 # multi-second inference needlessly.
                 nomemo_once = _best_of(
-                    lambda: infer(
-                        term, skeleton, config, memo=False, engine="interpreted"
-                    ),
-                    1,
+                    lambda: infer(term, skeleton, config, memo=False), 1
                 )
                 nomemo_repeats = _repeats_for(nomemo_once, quick)
                 nomemo_seconds = (
                     min(
                         nomemo_once,
                         _best_of(
-                            lambda: infer(
-                                term,
-                                skeleton,
-                                config,
-                                memo=False,
-                                engine="interpreted",
-                            ),
+                            lambda: infer(term, skeleton, config, memo=False),
                             nomemo_repeats - 1,
                         ),
                     )
@@ -243,10 +194,6 @@ def _inference_benchmarks(
                 "speedup": (legacy_seconds / seconds) if legacy_seconds else None,
                 "repeats": repeats,
             }
-            if compiled_seconds is not None:
-                entry["compiled_seconds"] = compiled_seconds
-                if time_interpreted and seconds:
-                    entry["compiled_speedup"] = seconds / compiled_seconds
             if nomemo_seconds is not None:
                 entry["nomemo_seconds"] = nomemo_seconds
                 entry["memo_speedup"] = nomemo_seconds / seconds if seconds else None
@@ -525,48 +472,33 @@ def measure_overhead(
     should sit within noise of 1.0.  Best-of-``repeats`` on both sides
     keeps scheduler jitter from dominating a sub-5% comparison.
     """
-    from ..core.compiled import have_numpy
     from ..obs.instrument import Instrumentation
 
     config = InferenceConfig()
     parameter = parameter_for_nodes(family, target_nodes)
     term, skeleton, nodes, _dag_nodes = FAMILIES[family].instantiate(parameter)
 
-    engines = ["interpreted"]
-    if have_numpy():
-        engines.append("compiled")
-    entries: List[Dict[str, object]] = []
-    for engine in engines:
-        # Warm caches (plan cache, interners) untimed on both paths.
-        infer(term, skeleton, config, engine=engine)
-        infer(term, skeleton, config, engine=engine, instrumentation=Instrumentation())
-        plain = _best_of(
-            lambda: infer(term, skeleton, config, engine=engine), repeats
-        )
-        instrumented = _best_of(
-            lambda: infer(
-                term,
-                skeleton,
-                config,
-                engine=engine,
-                instrumentation=Instrumentation(),
-            ),
-            repeats,
-        )
-        entries.append(
-            {
-                "engine": engine,
-                "plain_seconds": plain,
-                "instrumented_seconds": instrumented,
-                "overhead_ratio": instrumented / plain if plain > 0 else 1.0,
-            }
-        )
+    # Warm caches (interners) untimed on both paths.
+    infer(term, skeleton, config)
+    infer(term, skeleton, config, instrumentation=Instrumentation())
+    plain = _best_of(lambda: infer(term, skeleton, config), repeats)
+    instrumented = _best_of(
+        lambda: infer(term, skeleton, config, instrumentation=Instrumentation()),
+        repeats,
+    )
     return {
         "family": family,
         "parameter": parameter,
         "nodes": nodes,
         "repeats": repeats,
-        "engines": entries,
+        "engines": [
+            {
+                "engine": "interpreted",
+                "plain_seconds": plain,
+                "instrumented_seconds": instrumented,
+                "overhead_ratio": instrumented / plain if plain > 0 else 1.0,
+            }
+        ],
     }
 
 
@@ -605,13 +537,8 @@ def run_suite(
     families: Optional[Sequence[str]] = None,
     sizes: Optional[Sequence[int]] = None,
     progress: Callable[[str], None] = lambda line: None,
-    engine: str = "both",
 ) -> Dict[str, object]:
     """Run the full micro-benchmark suite and return the report dict."""
-    if engine not in ("both", "compiled", "interpreted"):
-        raise ValueError(
-            f"unknown engine selection {engine!r}; expected both/compiled/interpreted"
-        )
     family_names = list(families) if families else list(FAMILIES)
     unknown = [name for name in family_names if name not in FAMILIES]
     if unknown:
@@ -620,7 +547,7 @@ def run_suite(
 
     progress("inference families:")
     benchmarks = _inference_benchmarks(
-        node_targets, family_names, include_legacy, quick, progress, engine=engine
+        node_targets, family_names, include_legacy, quick, progress
     )
     if families is None:
         # The edit-replay rows ride every default suite run (including the
@@ -638,16 +565,10 @@ def run_suite(
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "engine_selection": engine,
         "engines": {
             "current": (
                 "repro.core.inference (iterative, interned grades, persistent "
                 "contexts, DAG-memoized judgements)"
-            ),
-            "compiled": (
-                "repro.core.compiled (flat preorder bytecode plans, packed "
-                "vectorized grade algebra; exact, bit-for-bit identical "
-                "judgements)"
             ),
             "legacy": "repro.perf.reference (seed: recursive walk, dict contexts)",
         },
@@ -740,8 +661,7 @@ def render_report(report: Dict[str, object]) -> str:
     The ``tree/dag`` column distinguishes tree node count (occurrences, the
     non-memoized engine's work) from distinct interned node count (the
     judgements DAG-memoized inference computes); sharing-free rows show one
-    number.  ``compiled``/``cspeed`` are the compiled bytecode kernel's time
-    and its speedup over the interpreted engine, ``memo`` is the
+    number.  ``memo`` is the
     memoized-vs-unmemoized speedup for shared rows, and the
     full-vs-incremental speedup for edit-replay rows.
     """
@@ -750,8 +670,8 @@ def render_report(report: Dict[str, object]) -> str:
         f"python {report.get('python')}"
     ]
     header = (
-        f"{'benchmark':<34} {'tree/dag':>13} {'current':>12} {'compiled':>12} "
-        f"{'legacy':>12} {'speedup':>8} {'cspeed':>8} {'memo':>8}"
+        f"{'benchmark':<34} {'tree/dag':>13} {'current':>12} "
+        f"{'legacy':>12} {'speedup':>8} {'memo':>8}"
     )
     lines.append(header)
     lines.append("-" * len(header))
@@ -765,9 +685,7 @@ def render_report(report: Dict[str, object]) -> str:
         else:
             nodes_cell = str(nodes)
         legacy = entry.get("legacy_seconds")
-        compiled = entry.get("compiled_seconds")
         speedup = entry.get("speedup")
-        compiled_speedup = entry.get("compiled_speedup")
         memo_speedup = entry.get("memo_speedup")
         if memo_speedup is None and entry.get("category") == "incremental":
             memo_speedup = entry.get("speedup")
@@ -776,10 +694,8 @@ def render_report(report: Dict[str, object]) -> str:
             f"{entry['name']:<34} "
             f"{nodes_cell:>13} "
             f"{entry['seconds'] * 1e3:>10.2f}ms "
-            f"{(compiled * 1e3 if compiled else float('nan')):>10.2f}ms "
             f"{(legacy * 1e3 if legacy else float('nan')):>10.2f}ms "
             f"{(f'{speedup:.1f}x' if speedup else '-'):>8} "
-            f"{(f'{compiled_speedup:.1f}x' if compiled_speedup else '-'):>8} "
             f"{(f'{memo_speedup:.1f}x' if memo_speedup else '-'):>8}"
         )
     return "\n".join(lines)
@@ -812,7 +728,6 @@ def run(arguments) -> int:
         families=families,
         sizes=sizes,
         progress=lambda line: print(line, file=sys.stderr),
-        engine=getattr(arguments, "engine", "both"),
     )
     print(render_report(report))
     path = write_report(report, arguments.out)

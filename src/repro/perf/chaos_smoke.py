@@ -3,8 +3,8 @@
 The acceptance harness for ``docs/robustness.md``: drive a small cluster
 with a pinned :mod:`repro.faults` plan — worker kills, delayed and
 truncated response frames, dropped connections, corrupted disk-cache
-pickles, compiled-engine failures — through the *retrying* pipelined
-client, and assert the two properties the resilience layer promises:
+pickles — through the *retrying* pipelined client, and assert the two
+properties the resilience layer promises:
 
 1. **zero client-visible failures** — every request ends in an ``ok``
    response, because worker-death 503s, open-circuit sheds and dropped
@@ -12,9 +12,8 @@ client, and assert the two properties the resilience layer promises:
    request keys;
 2. **answers are unchanged** — the reports from the faulted run are
    byte-identical (volatile timing fields dropped) to a fault-free run of
-   the same corpus, because the compiled→interpreted fallback is
-   bit-identical and corrupt cache entries are quarantined and recomputed,
-   never served.
+   the same corpus, because corrupt cache entries are quarantined and
+   recomputed, never served.
 
 Two modes:
 
@@ -28,7 +27,7 @@ Two modes:
 
       PYTHONPATH=src python -m repro.perf.chaos_smoke \\
           --port 7351 --requests 256 --expect-restarts 1 \\
-          --expect-fallbacks 1 --expect-breaker-cycle
+          --expect-breaker-cycle
 
 Fault *decisions* are deterministic (pure functions of ``seed`` and each
 site's event ordinal) but event *arrival order* still depends on
@@ -56,12 +55,11 @@ __all__ = [
 
 #: The pinned plan CI runs: one worker kill per worker lifetime (its 40th
 #: analysis), occasional 40 ms response delays, a truncated and a dropped
-#: frame per worker lifetime, 8% corrupted cache writes and an injected
-#: compiled-engine failure stream.  Seeded, so a failing run replays.
+#: frame per worker lifetime and 8% corrupted cache writes.  Seeded, so a
+#: failing run replays.
 DEFAULT_FAULT_PLAN = (
     "seed=1066;kill_worker=@40;slow_response=0.05:40;"
-    "truncate_frame=@55;drop_connection=@75;"
-    "corrupt_cache=0.08;compiled_error=0.5"
+    "truncate_frame=@55;drop_connection=@75;corrupt_cache=0.08"
 )
 
 DEFAULT_REQUESTS = 256
@@ -71,9 +69,8 @@ DEFAULT_RETRIES = 10
 #: under the server's pipeline window).
 WAVE = 16
 #: Per-report fields that legitimately differ between two runs of the
-#: same analysis: wall-clock timings and the engine phase breakdown
-#: (which differs between the compiled path and its interpreted
-#: fallback).  Everything else must match byte for byte.
+#: same analysis: wall-clock timings and the engine phase breakdown.
+#: Everything else must match byte for byte.
 VOLATILE_REPORT_FIELDS = frozenset({"seconds", "inference_seconds", "phases"})
 
 
@@ -112,11 +109,8 @@ def run_chaos_load(
 
     Requests walk the corpus round-robin; every fourth carries a
     ``deadline_ms`` budget so deadline propagation is exercised alongside
-    the retries, and every eighth is ``no_cache`` so re-inference (and
-    with it the compiled-engine fault site) keeps firing even once the
-    shared disk cache is warm — a respawned worker resets its per-process
-    fallback counters, so the run's tail must still infer something for
-    the final stats scrape to witness a fallback.  A "failure" is
+    the retries, and every eighth is ``no_cache`` so re-inference keeps
+    firing even once the shared disk cache is warm.  A "failure" is
     anything the retrying client could not mask: a raised
     :class:`ServiceError` or a drained non-``ok`` response.
     """
@@ -192,7 +186,6 @@ def _assert_outcomes(
     stats: Dict[str, Any],
     exposition: str,
     expect_restarts: int,
-    expect_fallbacks: int,
     expect_breaker_cycle: bool,
 ) -> List[str]:
     """Check the chaos run actually *exercised* the resilience layer.
@@ -204,12 +197,6 @@ def _assert_outcomes(
     restarts = stats.get("cluster", {}).get("restarts", 0)
     if restarts < expect_restarts:
         problems.append(f"expected >= {expect_restarts} worker restart(s), saw {restarts}")
-    fallbacks = stats.get("resilience", {}).get("fallbacks", 0)
-    if fallbacks < expect_fallbacks:
-        problems.append(
-            f"expected >= {expect_fallbacks} compiled->interpreted fallback(s), "
-            f"saw {fallbacks}"
-        )
     if expect_breaker_cycle:
         opened, reclosed = _breaker_cycles(stats)
         if opened < 1 or reclosed < 1:
@@ -256,10 +243,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="minimum worker restarts the run must produce (default 1)",
     )
     parser.add_argument(
-        "--expect-fallbacks", type=int, default=1,
-        help="minimum compiled->interpreted fallbacks (default 1)",
-    )
-    parser.add_argument(
         "--expect-breaker-cycle", action="store_true", default=True,
         help="require at least one breaker open/close cycle (default on)",
     )
@@ -293,27 +276,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         problems = list(load["failures"])
         problems += _assert_outcomes(
             stats, exposition,
-            arguments.expect_restarts, arguments.expect_fallbacks,
-            arguments.expect_breaker_cycle,
+            arguments.expect_restarts, arguments.expect_breaker_cycle,
         )
         summary.update(
             mode="attack",
             failures=load["failures"],
             restarts=stats.get("cluster", {}).get("restarts"),
             breaker_transitions=_breaker_cycles(stats),
-            fallbacks=stats.get("resilience", {}),
             injected=_worker_fault_counts(stats),
         )
     else:
         # Self-hosted mode: a fault-free reference pass, then the chaos
         # pass, with byte-identical reports required between the two.
-        # ``engine="compiled"`` so compiled_error faults actually have a
-        # compiled engine to break.
         problems = []
         with tempfile.TemporaryDirectory(prefix="repro-chaos-ref-") as ref_dir:
-            config = ServiceConfig(
-                engine="compiled", cache_dir=ref_dir, queue_size=512
-            )
+            config = ServiceConfig(cache_dir=ref_dir, queue_size=512)
             progress(f"reference cluster ({arguments.workers} workers, no faults) ...")
             with _RouterHarness(arguments.workers, config) as harness:
                 reference = run_chaos_load(
@@ -329,8 +306,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as chaos_dir:
             config = ServiceConfig(
-                engine="compiled", cache_dir=chaos_dir, queue_size=512,
-                faults=arguments.faults,
+                cache_dir=chaos_dir, queue_size=512, faults=arguments.faults
             )
             progress(f"chaos cluster (faults: {arguments.faults}) ...")
             with _RouterHarness(arguments.workers, config) as harness:
@@ -358,8 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             problems.append(f"... and {mismatches - 3} more report mismatches")
         problems += _assert_outcomes(
             stats, exposition,
-            arguments.expect_restarts, arguments.expect_fallbacks,
-            arguments.expect_breaker_cycle,
+            arguments.expect_restarts, arguments.expect_breaker_cycle,
         )
         summary.update(
             mode="self-hosted",
@@ -369,7 +344,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report_mismatches=mismatches,
             restarts=stats.get("cluster", {}).get("restarts"),
             breaker_transitions=_breaker_cycles(stats),
-            fallbacks=stats.get("resilience", {}),
             injected=_worker_fault_counts(stats),
         )
 

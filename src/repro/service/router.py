@@ -1027,7 +1027,6 @@ class RouterServer:
         service: Dict[str, Any] = {}
         cache: Dict[str, Any] = {}
         scheduler: Dict[str, Any] = {}
-        resilience: Dict[str, Any] = {}
         tuning: Dict[str, Any] = {}
         slow_requests: List[Dict[str, Any]] = []
         inflight = 0
@@ -1051,12 +1050,10 @@ class RouterServer:
             _merge_counters(service, block.get("service", {}))
             _merge_counters(cache, block.get("cache", {}))
             _merge_counters(scheduler, block.get("scheduler", {}))
-            # Graceful-degradation counters are per worker *process*, so
-            # this sum covers the live generation of each slot only —
-            # counters die with a killed worker.  The per-worker blocks
-            # below keep the slot-level view.
-            _merge_counters(resilience, block.get("resilience", {}))
-            # Tuning counters follow the same per-process lifecycle.
+            # Tuning counters are per worker *process*, so this sum covers
+            # the live generation of each slot only — counters die with a
+            # killed worker.  The per-worker blocks below keep the
+            # slot-level view.
             _merge_counters(tuning, block.get("tuning", {}))
             inflight += block.get("inflight", 0)
             for entry in block.get("slow_requests", []) or []:
@@ -1077,7 +1074,6 @@ class RouterServer:
             "inflight": inflight,
             "cache": cache,
             "scheduler": scheduler,
-            "resilience": resilience,
             "tuning": tuning,
             "slow_requests": slow_requests,
             "cluster": {

@@ -111,7 +111,6 @@ class Scheduler:
         parse_cache: Optional["AnalysisCache"] = None,
         judgement_memo=None,
         memo_entries: Optional[int] = None,
-        engine: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.pool = pool or PoolHandle(1)
@@ -130,10 +129,6 @@ class Scheduler:
         self.parse_cache = parse_cache if self.pool.jobs == 1 else None
         self.judgement_memo = judgement_memo if self.pool.jobs == 1 else None
         self.memo_entries = memo_entries if self.pool.jobs > 1 else None
-        #: Inference engine forwarded with every analysis submission
-        #: ("auto"/"interpreted"/"compiled"); validation jobs pick their
-        #: own engines per backend and ignore it.
-        self.engine = engine
         # One puller per executor worker: more would only queue inside the
         # executor where deadlines can no longer be honoured.
         self.workers = max(1, workers if workers is not None else self.pool.jobs)
@@ -279,8 +274,7 @@ class Scheduler:
                     # For validation the per-process memo capacity rides
                     # along only for process pools (``memo_entries`` is
                     # None otherwise), keeping the thread-pool call shape
-                    # unchanged; analysis always passes it together with
-                    # the engine selection.
+                    # unchanged; analysis always passes it.
                     extra = (self.memo_entries,) if self.memo_entries else ()
                     if job.kind == "validate":
                         from ..validation.harness import validate_item
@@ -314,7 +308,6 @@ class Scheduler:
                             self.parse_cache,
                             self.judgement_memo,
                             self.memo_entries,
-                            self.engine,
                         )
                     report = await asyncio.wrap_future(future)
                 except Exception as error:  # pragma: no cover - defensive

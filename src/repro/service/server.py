@@ -88,11 +88,7 @@ from ..analysis.cache import (
 )
 from ..core import ast as A
 from ..core.errors import LnumError
-from ..core.inference import (
-    InferenceConfig,
-    JudgementMemo,
-    engine_fallback_stats,
-)
+from ..core.inference import InferenceConfig, JudgementMemo
 from ..faults import FAULT_SITES, activate, active_plan, injected_counts, plan_from_environment
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import RequestTrace, requested_trace_id
@@ -315,11 +311,6 @@ class ServiceConfig:
     #: source or re-encoding the report (0 disables).
     hot_key_entries: int = 4096
     hot_report_entries: int = 1024
-    #: Inference engine forwarded with every analysis job
-    #: ("auto"/"interpreted"/"compiled").  ``auto`` keeps the judgement
-    #: memo's cross-request reuse (memoized inference stays interpreted)
-    #: and compiles only memo-less runs.
-    engine: str = "auto"
     #: Requests slower than this (seconds, end to end) land in the
     #: in-memory slow-request ring buffer surfaced as
     #: ``/stats → slow_requests`` (0 disables the log).
@@ -381,7 +372,6 @@ class AnalysisService:
             parse_cache=self._analysis_cache,
             judgement_memo=self.judgement_memo,
             memo_entries=self.config.judgement_memo_entries,
-            engine=self.config.engine,
             metrics=self.metrics,
         )
         self._inflight: Dict[str, Job] = {}
@@ -426,20 +416,9 @@ class AnalysisService:
             lambda: len(self._inflight),
             "Scheduled jobs whose futures have not resolved.",
         )
-        # Graceful-degradation observability: compiled-engine failures
-        # that fell back to the interpreter, and corrupt disk-cache
-        # entries quarantined aside.  Registered unconditionally — both
-        # paths exist without fault injection.
-        self.metrics.counter_func(
-            "repro_engine_fallbacks_total",
-            lambda: engine_fallback_stats()["fallbacks"],
-            "Compiled-engine failures served by the interpreted engine instead.",
-        )
-        self.metrics.gauge_func(
-            "repro_engine_quarantined_plans",
-            lambda: engine_fallback_stats()["quarantined"],
-            "Programs whose compiled plans are quarantined after a failure.",
-        )
+        # Graceful-degradation observability: corrupt disk-cache entries
+        # quarantined aside.  Registered unconditionally — the path exists
+        # without fault injection.
         self.metrics.counter_func(
             "repro_cache_quarantined_total",
             quarantined_total,
@@ -1014,13 +993,8 @@ class AnalysisService:
                 # A cached report's phases describe whatever inference
                 # originally produced it, not this request — the tier span
                 # already tells that story.
-                engine = "compiled" if "execute" in phases else "interpreted"
-                trace.add(
-                    "engine.select", 0.0,
-                    requested=self.config.engine, engine=engine,
-                )
                 memo_hits = phases.get("memo_hits")
-                for phase in ("parse", "lower", "execute", "convert", "interpret"):
+                for phase in ("parse", "interpret"):
                     if phase not in phases:
                         continue
                     attributes: Dict[str, Any] = {}
@@ -1045,12 +1019,9 @@ class AnalysisService:
             # tables, fingerprint/free-variable memos, exactmath caches):
             # occupancy vs. caps, so a long-lived server is observable.
             "memos": memo_report(),
-            # Graceful-degradation counters: compiled-plan quarantine and
-            # interpreter fallbacks (see repro.core.inference).
-            "resilience": engine_fallback_stats(),
             # Mixed-precision tuning counters (candidates, certifications,
-            # cache hits); process-local like the resilience block, merged
-            # across cluster workers by the router.
+            # cache hits); process-local, merged across cluster workers by
+            # the router.
             "tuning": tuning_stats(),
             # Ring buffer of requests slower than
             # ``ServiceConfig.slow_request_seconds``, newest last.

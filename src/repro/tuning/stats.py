@@ -1,10 +1,8 @@
 """Process-local tuning counters (the ``tuning`` block of ``/stats``).
 
-Mirrors :func:`repro.core.inference.engine_fallback_stats` (the
-``resilience`` block): counters live in the process doing the tuning work,
-each ``repro serve`` worker reports its own block, and the cluster router
-merges the blocks across workers exactly like it merges the resilience
-counters.
+Counters live in the process doing the tuning work, each ``repro serve``
+worker reports its own block, and the cluster router sums the blocks
+across workers.
 """
 
 from __future__ import annotations

@@ -1,12 +1,16 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
 
-EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples", "programs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXAMPLES = os.path.join(ROOT, "examples", "programs")
 
 FMA_SOURCE = """
 function FMA (x: num) (y: num) (z: num) : M[eps]num {
@@ -22,6 +26,29 @@ def fma_file(tmp_path):
     path = tmp_path / "fma.lnum"
     path.write_text(FMA_SOURCE)
     return str(path)
+
+
+def run_repro(*arguments, code=""):
+    """Run ``python -c code`` (default: the CLI on ``arguments``) from a checkout."""
+    environment = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    command = ["-c", code] if code else ["-m", "repro", *arguments]
+    return subprocess.run(
+        [sys.executable, *command],
+        capture_output=True, text=True, env=environment, cwd=ROOT, timeout=120,
+    )
+
+
+@pytest.fixture()
+def bad_grade_dir(tmp_path):
+    """``horner2.lnum`` with an empty result grade ``M[]num``, next to ``fma.lnum``."""
+    with open(os.path.join(EXAMPLES, "horner2.lnum")) as handle:
+        source = handle.read()
+    broken = source.replace(": M[2*eps]num {", ": M[]num {")
+    assert broken != source
+    (tmp_path / "horner2.lnum").write_text(broken)
+    with open(os.path.join(EXAMPLES, "fma.lnum")) as handle:
+        (tmp_path / "fma.lnum").write_text(handle.read())
+    return tmp_path
 
 
 class TestCheckCommand:
@@ -63,6 +90,13 @@ class TestCheckCommand:
 
     def test_missing_file(self, capsys):
         assert main(["check", "/does/not/exist.lnum"]) == 2
+
+    def test_bad_grade_annotation_is_a_located_error(self, bad_grade_dir):
+        completed = run_repro("check", str(bad_grade_dir / "horner2.lnum"))
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert "invalid grade annotation" in completed.stderr
+        assert "line 16" in completed.stderr
 
     def test_stdin_input(self, fma_file, capsys, monkeypatch):
         import io
@@ -138,6 +172,16 @@ class TestErrorPaths:
         assert main(["batch", str(broken), "--no-cache"]) == 2
         assert "failure" in capsys.readouterr().out
 
+    def test_batch_reports_a_bad_grade_as_one_error_row(self, bad_grade_dir, capsys):
+        assert main(["batch", str(bad_grade_dir), "--no-cache", "--json"]) == 2
+        programs = {
+            os.path.basename(entry["name"]): entry
+            for entry in json.loads(capsys.readouterr().out)["programs"]
+        }
+        assert programs["fma.lnum"]["ok"] is True
+        assert programs["horner2.lnum"]["ok"] is False
+        assert "line 16" in programs["horner2.lnum"]["error"]
+
     def test_batch_annotation_violation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.lnum"
         bad.write_text("function f (x: num) : M[0]num { rnd x }\n")
@@ -172,6 +216,24 @@ class TestVersionAndWiring:
         assert serve.command == "serve" and serve.jobs == 2
         query = build_parser().parse_args(["query", "p.lnum", "--priority", "bulk"])
         assert query.command == "query" and query.priority == "bulk"
+
+    @pytest.mark.parametrize("command", [["batch", EXAMPLES], ["serve"]], ids=["batch", "serve"])
+    def test_engine_flag_is_rejected(self, command):
+        from repro.cli import build_parser
+
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--engine", "interpreted"])
+
+    def test_numpy_is_never_imported(self):
+        probe = "import sys, repro.cli; print('numpy' in sys.modules)"
+        assert run_repro(code=probe).stdout.strip() == "False"
+        check = (
+            "import sys, repro.cli\n"
+            "code = repro.cli.main(['check', 'examples/programs/horner2.lnum'])\n"
+            "print(code, 'numpy' in sys.modules)"
+        )
+        assert run_repro(code=check).stdout.strip().splitlines()[-1] == "0 False"
 
     def test_query_requires_paths_or_stats(self):
         with pytest.raises(SystemExit):

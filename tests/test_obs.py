@@ -261,7 +261,6 @@ class TestInstrumentation:
             definition.body,
             definition.parameter_skeleton(),
             InferenceConfig(),
-            engine="interpreted",
             instrumentation=instrumentation,
         )
         assert instrumentation.phases.get("interpret", 0.0) > 0.0
@@ -392,7 +391,7 @@ class TestServiceTracing:
             assert names[0] == "normalize"
             assert "cache.lookup" in names
             assert "queue.wait" in names
-            assert "engine.select" in names
+            assert "engine.interpret" in names
             lookup = next(
                 span
                 for span in trace["spans"]

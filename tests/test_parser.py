@@ -71,6 +71,22 @@ class TestTypeParser:
         with pytest.raises(ParseError):
             parse_type("M[eps")
 
+    @pytest.mark.parametrize(
+        "source, column",
+        [("num -o M[]num", 8), ("num -o ![eps eps]num", 8), ("num -o M[2 * * eps]num", 8)],
+    )
+    def test_bad_grade_annotation_is_a_located_parse_error(self, source, column):
+        with pytest.raises(ParseError) as info:
+            parse_type(source)
+        assert "invalid grade annotation" in str(info.value)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_bad_box_scale_is_a_located_parse_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_program("function f (x: num) : num {\n  let [y] = [x]{eps eps};\n  y\n}\n")
+        assert "invalid grade annotation" in str(info.value)
+        assert (info.value.line, info.value.column) == (2, 16)
+
 
 class TestTermParser:
     def test_number_literal(self):

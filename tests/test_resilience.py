@@ -2,11 +2,10 @@
 
 Unit coverage for the deterministic primitives (fault plans, retry
 schedules, circuit breakers, deadline arithmetic), the graceful-
-degradation paths (corrupt disk-cache quarantine, compiled-engine
-fallback), the shed-expired scheduler satellite and the client read
-timeout — then one end-to-end chaos run: a two-worker cluster under a
-pinned fault plan (worker kills, delayed/truncated frames, corrupted
-cache writes, injected compiled-engine failures) must serve every
+degradation path (corrupt disk-cache quarantine), the shed-expired
+scheduler satellite and the client read timeout — then one end-to-end
+chaos run: a two-worker cluster under a pinned fault plan (worker kills,
+delayed/truncated frames, corrupted cache writes) must serve every
 request through the retrying pipelined client with zero client-visible
 failures and identical answers for identical programs.
 """
@@ -27,8 +26,6 @@ from repro.analysis.cache import (
     memo_report,
     quarantined_total,
 )
-from repro.core import ast as A
-from repro.core.inference import engine_fallback_stats, infer
 from repro.faults import (
     FAULT_SITES,
     FaultPlan,
@@ -163,6 +160,11 @@ class TestFaultPlan:
             FaultPlan.from_spec("kill_worker=@0")
         with pytest.raises(ValueError):
             FaultPlan.from_spec("kill_worker")
+
+    def test_compiled_error_spec_is_an_unknown_site(self):
+        assert "compiled_error" not in FAULT_SITES
+        with pytest.raises(ValueError, match="unknown fault site 'compiled_error'"):
+            FaultPlan.from_spec("seed=1;compiled_error=0.5")
 
     def test_seed_changes_the_stream(self):
         one = FaultPlan.from_spec("seed=1;corrupt_cache=0.5")
@@ -399,56 +401,16 @@ class TestCacheQuarantine:
 
 
 # ---------------------------------------------------------------------------
-# Compiled-engine graceful degradation
-# ---------------------------------------------------------------------------
-
-
-class TestCompiledFallback:
-    def test_injected_failure_degrades_to_identical_answer(self):
-        # Interned (hash-consed), so the failed plan can be quarantined by
-        # its ``_intern_id``; a constant unlikely to collide with other tests.
-        term = A.intern_term(A.Let("t", A.Const(987654.25), A.Var("t")))
-        reference = infer(term, {}, memo=False, engine="interpreted")
-        before = engine_fallback_stats()
-
-        activate("seed=5;compiled_error=@1")
-        degraded = infer(term, {}, memo=False, engine="compiled")
-        after = engine_fallback_stats()
-        assert degraded.type == reference.type
-        assert degraded.context == reference.context
-        assert after["fallbacks"] == before["fallbacks"] + 1
-        assert after["quarantined"] >= before["quarantined"] + 1
-
-        # The plan is quarantined: even with injection disabled, the same
-        # term skips the compiled engine instead of re-failing, and the
-        # answer is still identical.
-        deactivate()
-        again = infer(term, {}, memo=False, engine="compiled")
-        final = engine_fallback_stats()
-        assert again.type == reference.type
-        assert again.context == reference.context
-        assert final["fallbacks"] == after["fallbacks"] + 1
-
-    def test_compiled_engine_unaffected_without_a_plan(self):
-        term = A.Let("u", A.Const(13.5), A.Var("u"))
-        reference = infer(term, {}, memo=False, engine="interpreted")
-        result = infer(term, {}, memo=False, engine="compiled")
-        assert result.type == reference.type
-        assert result.context == reference.context
-
-
-# ---------------------------------------------------------------------------
 # End-to-end chaos: a faulted cluster must look healthy from outside
 # ---------------------------------------------------------------------------
 
 
 class TestChaosCluster:
     #: Aggressive plan scaled to a short run: each worker lifetime dies on
-    #: its 10th analysis, a quarter of cache writes are corrupted, and
-    #: half of the compiled inferences fail over to the interpreter.
+    #: its 10th analysis and a quarter of cache writes are corrupted.
     SPEC = (
         "seed=20;kill_worker=@10;slow_response=0.1:30;truncate_frame=@30;"
-        "corrupt_cache=0.25;compiled_error=0.5"
+        "corrupt_cache=0.25"
     )
     REQUESTS = 48
 
@@ -459,8 +421,7 @@ class TestChaosCluster:
         corpus = chaos_corpus(limit=8)
         retry = RetryPolicy(retries=8, base_delay=0.1, budget_seconds=60.0, seed=7)
         config = ServiceConfig(
-            engine="compiled", cache_dir=str(tmp_path), queue_size=512,
-            faults=self.SPEC,
+            cache_dir=str(tmp_path), queue_size=512, faults=self.SPEC
         )
         with _RouterHarness(2, config) as harness:
             load = run_chaos_load(harness.port, corpus, self.REQUESTS, retry)
@@ -473,7 +434,7 @@ class TestChaosCluster:
         assert all(report.get("ok") for report in load["reports"])
 
         # Identical programs produce identical (normalized) reports, no
-        # matter which mix of compiled/fallback/cache/retry served them.
+        # matter which mix of cache/retry served them.
         canonical = {}
         for index, report in enumerate(load["reports"]):
             blob = json.dumps(report, sort_keys=True)

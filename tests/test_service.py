@@ -229,12 +229,12 @@ class TestScheduler:
         # and the worker keeps serving afterwards.
         import time as time_module
 
-        def slow_then_fast(item, config, cache, memo=None, memo_entries=None, engine="auto"):
+        def slow_then_fast(item, config, cache, memo=None, memo_entries=None):
             if item.name == "slow":
                 time_module.sleep(0.3)
             from repro.analysis.batch import _analyze_item
 
-            return _analyze_item(item, config, cache, memo, memo_entries, engine)
+            return _analyze_item(item, config, cache, memo, memo_entries)
 
         monkeypatch.setattr(
             "repro.service.scheduler.analyze_item", slow_then_fast
@@ -511,6 +511,25 @@ class TestAnalysisService:
 
         run(scenario())
 
+    def test_bad_grade_annotation_is_a_located_failed_report(self):
+        # Every parse error of a request's program, a malformed grade
+        # included, is a failed report carrying line and column, never a
+        # 500.
+        bad_grade = HORNER_SOURCE.replace(": M[2*eps]num {", ": M[]num {")
+        assert bad_grade != HORNER_SOURCE
+
+        async def scenario():
+            service = await make_service()
+            for op in ("analyze", "validate", "tune"):
+                response = await service.handle({"op": op, "source": bad_grade})
+                assert response["status"] == "ok", response
+                assert response["report"]["ok"] is False
+                assert "invalid grade annotation" in response["report"]["error"]
+                assert "line 16" in response["report"]["error"]
+            await service.stop()
+
+        run(scenario())
+
     def test_expired_deadline_returns_timeout(self):
         async def scenario():
             # Workers not started: the tiny deadline passes while queued.
@@ -604,9 +623,9 @@ class TestAnalysisService:
 
         from repro.analysis.batch import _analyze_item
 
-        def slow(item, config, cache, memo=None, memo_entries=None, engine="auto"):
+        def slow(item, config, cache, memo=None, memo_entries=None):
             time_module.sleep(0.25)
-            return _analyze_item(item, config, cache, memo, memo_entries, engine)
+            return _analyze_item(item, config, cache, memo, memo_entries)
 
         monkeypatch.setattr("repro.service.scheduler.analyze_item", slow)
 

@@ -125,16 +125,6 @@ class TestSiteGrades:
         with pytest.raises(TypeInferenceError):
             infer(subject.term, skeleton=subject.skeleton, config=config)
 
-    def test_compiled_engine_rejects_site_grades(self):
-        from repro.core.compiled import infer_compiled
-
-        subject = subject_named(FMA_SOURCE)
-        config = InferenceConfig().with_rnd_site_grades(
-            (Grade.constant(Fraction(1, 8)),)
-        )
-        with pytest.raises(ValueError):
-            infer_compiled(subject.term, skeleton=subject.skeleton, config=config)
-
 
 # ---------------------------------------------------------------------------
 # Certification
