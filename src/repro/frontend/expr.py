@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Mapping, Sequence, Tuple, Union
 
-from ..floats.exactmath import sqrt_round
+from ..floats.exactmath import exact_str, sqrt_round
 from ..floats.standard_model import StandardModel
 
 # Benchmark expressions (serial sums, high-degree polynomials) are deep,
@@ -401,8 +401,7 @@ def to_string(expr: RealExpr) -> str:
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Const):
-        value = expr.value
-        return str(value.numerator) if value.denominator == 1 else f"{value}"
+        return exact_str(expr.value)
     if isinstance(expr, Add):
         return f"({to_string(expr.left)} + {to_string(expr.right)})"
     if isinstance(expr, Sub):

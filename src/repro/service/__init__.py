@@ -1,9 +1,10 @@
 """The ``repro serve`` analysis service.
 
 A long-lived asyncio front-end over the analysis pipeline: one process
-imports the toolchain once, keeps every cache tier warm, and serves
-analysis requests over a newline-delimited-JSON TCP protocol.  The
-request lifecycle is::
+imports the toolchain once, keeps its memos and its one result cache (a
+:class:`repro.analysis.cache.AnalysisCache`, a memory tier over the
+bounded disk tier) warm, and serves analysis requests over a
+newline-delimited-JSON TCP protocol.  The request lifecycle is::
 
     admit → coalesce → schedule → infer → cache
 
@@ -14,8 +15,6 @@ request lifecycle is::
 * :mod:`repro.service.scheduler` — the bounded priority queue feeding the
   reusable :class:`repro.analysis.batch.PoolHandle`, with deadlines and
   load shedding;
-* :mod:`repro.service.cachefarm` — the sharded in-memory result cache
-  layered over the bounded disk cache;
 * :mod:`repro.service.cluster` — the worker-process fleet and the
   consistent-hash ring behind ``repro serve --workers N``;
 * :mod:`repro.service.router` — the front-end that shards requests over
@@ -32,7 +31,6 @@ See the "Service layer" and "Cluster layer" sections of
 ``BENCH_service.json``.
 """
 
-from .cachefarm import CacheFarm
 from .client import DEFAULT_PORT, PipelinedClient, ServiceClient, ServiceError
 from .cluster import AnalysisCluster, ClusterConfig, HashRing, WorkerHandle
 from .resilience import CircuitBreaker, RetryPolicy
@@ -50,7 +48,6 @@ __all__ = [
     "AnalysisCluster",
     "AnalysisServer",
     "AnalysisService",
-    "CacheFarm",
     "CircuitBreaker",
     "ClusterConfig",
     "DEFAULT_PORT",

@@ -21,8 +21,9 @@ s-expressions) fall back to :func:`~repro.analysis.cache.source_key`.
 
 The key then drives a three-way admission split:
 
-1. **cache hit** — answered immediately from the
-   :class:`~repro.service.cachefarm.CacheFarm`;
+1. **cache hit** — answered immediately from the service's one
+   :class:`~repro.analysis.cache.AnalysisCache` (memory tier on the event
+   loop, disk tier on the executor);
 2. **in-flight duplicate** — some earlier request with the same key is
    already scheduled: the new request *coalesces* onto the same future
    and no second inference is ever queued (N concurrent queries for one
@@ -44,8 +45,8 @@ by normalized content *and* sampling parameters), ``{"op": "stats"}``,
 Responses always carry ``status``: ``ok`` (with ``report`` for analyze),
 ``busy`` (queue full, code 429), ``timeout`` (deadline exceeded, code
 504) or ``error`` (malformed request, code 400).  The ``stats`` response
-is the ``/stats`` endpoint of the issue: service counters (requests,
-coalesced, inferences), cache farm shard counters, and scheduler lane /
+is the ``/stats`` endpoint: service counters (requests, coalesced,
+inferences), memory- and disk-tier cache counters, and scheduler lane /
 shed counters.
 
 Pipelining
@@ -94,7 +95,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import RequestTrace, requested_trace_id
 from ..tuning.search import parse_fraction
 from ..tuning.stats import tuning_stats
-from .cachefarm import CacheFarm, DEFAULT_SHARD_ENTRIES, DEFAULT_SHARDS
 from .scheduler import (
     PRIORITY_NAMES,
     DeadlineExceeded,
@@ -120,6 +120,16 @@ MAX_REQUEST_BYTES = 16 * 1024 * 1024
 #: Most pipelined requests in flight per connection before the reader
 #: stops pulling new lines (TCP backpressure does the rest).
 DEFAULT_PIPELINE_WINDOW = 1024
+
+#: Reports held in the memory tier of the service's result cache.
+RESULT_CACHE_ENTRIES = 4096
+
+#: Bounds of the hot-path memos: request-body bytes → content key, and
+#: content key → serialized report bytes.  They let a repeated pipelined
+#: request hit the memory tier without re-normalizing the source or
+#: re-encoding the report.
+HOT_KEY_ENTRIES = 4096
+HOT_REPORT_ENTRIES = 1024
 
 
 def _consume_result(future: "asyncio.Future") -> None:
@@ -292,8 +302,6 @@ class ServiceConfig:
 
     jobs: int = 1
     queue_size: int = 256
-    shards: int = DEFAULT_SHARDS
-    shard_entries: int = DEFAULT_SHARD_ENTRIES
     cache_dir: Optional[str] = None  # None: memory-only (no disk tier)
     default_deadline_seconds: Optional[float] = 60.0
     inference: Optional[InferenceConfig] = None
@@ -305,12 +313,6 @@ class ServiceConfig:
     judgement_memo_entries: int = 65_536
     #: Most pipelined (id-tagged) requests in flight per connection.
     pipeline_window: int = DEFAULT_PIPELINE_WINDOW
-    #: Bounds of the hot-path memos: request-body bytes → content key,
-    #: and content key → serialized report bytes.  They let a repeated
-    #: pipelined request hit the memory cache without re-normalizing the
-    #: source or re-encoding the report (0 disables).
-    hot_key_entries: int = 4096
-    hot_report_entries: int = 1024
     #: Requests slower than this (seconds, end to end) land in the
     #: in-memory slow-request ring buffer surfaced as
     #: ``/stats → slow_requests`` (0 disables the log).
@@ -333,14 +335,10 @@ class AnalysisService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
-        # The disk-backed AnalysisCache doubles as the parse memo; with no
-        # cache_dir it still provides (memory-only) parse memoization, it
-        # just isn't attached to the farm as a persistence tier.  Its own
-        # result-memory LRU is kept tiny: the CacheFarm shards are the
-        # memory tier here, and the default 1024 entries would hold every
-        # report in RAM a second time.
+        # The one result cache (memory tier, plus a disk tier when
+        # cache_dir is set), which doubles as the shared parse memo.
         self._analysis_cache = AnalysisCache(
-            directory=self.config.cache_dir, memory_entries=8
+            directory=self.config.cache_dir, memory_entries=RESULT_CACHE_ENTRIES
         )
         # Cross-request judgement memo: subterms shared between *different*
         # programs (Horner steps, FMA patterns, a corpus's common helper
@@ -354,15 +352,9 @@ class AnalysisService:
         self.judgement_memo: Optional[JudgementMemo] = None
         if self.config.jobs == 1 and self.config.judgement_memo_entries > 0:
             self.judgement_memo = JudgementMemo(self.config.judgement_memo_entries)
-        self.farm = CacheFarm(
-            shards=self.config.shards,
-            entries_per_shard=self.config.shard_entries,
-            disk=self._analysis_cache if self.config.cache_dir else None,
-            judgement_memo=self.judgement_memo,
-        )
         # One registry per service instance: every counter below, the
-        # scheduler's lanes and queue-wait histogram, and the cache farm's
-        # collector callbacks all land here, so the `{"op": "metrics"}`
+        # scheduler's lanes and queue-wait histogram, and the result
+        # cache's collector callbacks all land here, so the `{"op": "metrics"}`
         # verb and the Prometheus text see one coherent snapshot.
         self.metrics = MetricsRegistry()
         self.pool = PoolHandle(self.config.jobs)
@@ -380,10 +372,8 @@ class AnalysisService:
         # request bytes to the op + content key a full ``handle`` pass
         # computed for them; ``_hot_reports`` caches one JSON encoding per
         # cached report object, so N hits on one report serialize it once.
-        self._hot_keys = _LRU(max(0, self.config.hot_key_entries) or 1)
-        self._hot_enabled = self.config.hot_key_entries > 0
-        self._hot_reports = _LRU(max(0, self.config.hot_report_entries) or 1)
-        self._hot_reports_enabled = self.config.hot_report_entries > 0
+        self._hot_keys = _LRU(HOT_KEY_ENTRIES)
+        self._hot_reports = _LRU(HOT_REPORT_ENTRIES)
         # Dict-shaped view over registry counters: `counters["x"] += 1`
         # and `dict(self.counters)` (the /stats block) both still work.
         self.counters = self.metrics.group(
@@ -403,7 +393,7 @@ class AnalysisService:
             ],
             "Service admission counters.",
         )
-        self.farm.register_metrics(self.metrics)
+        self._register_cache_metrics()
         parse_stats = self._analysis_cache.parse_stats
         for field_name in ("hits", "misses"):
             self.metrics.counter_func(
@@ -440,6 +430,53 @@ class AnalysisService:
         #: seconds), surfaced as ``/stats → slow_requests``.
         self._slow_log: "deque" = deque(maxlen=max(1, self.config.slow_log_entries))
         self.started_at = time.monotonic()
+
+    @property
+    def farm(self) -> AnalysisCache:
+        """The result cache: the same object as the parse memo."""
+        return self._analysis_cache
+
+    def _register_cache_metrics(self) -> None:
+        """Expose the result cache's counters through the registry.
+
+        Collector callbacks sample the lock-guarded counters at snapshot
+        time, so this costs nothing on the request path.
+        """
+        cache = self._analysis_cache
+        for field_name in ("hits", "misses", "puts", "evictions"):
+            self.metrics.counter_func(
+                f"repro_cache_{field_name}_total",
+                (lambda f: lambda: getattr(cache.memory_stats(), f))(field_name),
+                "Memory-tier result-cache counters.",
+                tier="memory",
+            )
+        self.metrics.gauge_func(
+            "repro_cache_entries",
+            lambda: cache.entries,
+            "Live entries in the memory tier.",
+            tier="memory",
+        )
+        self.metrics.counter_func(
+            "repro_cache_disk_hits_total",
+            lambda: cache.disk_stats.hits,
+            "Memory misses served by the disk tier.",
+        )
+        if cache.directory:
+            for field_name in ("hits", "misses", "puts"):
+                self.metrics.counter_func(
+                    f"repro_cache_{field_name}_total",
+                    (lambda f: lambda: getattr(cache.disk_stats, f))(field_name),
+                    "Disk-tier cache counters.",
+                    tier="disk",
+                )
+        memo = self.judgement_memo
+        if memo is not None:
+            for field_name in ("hits", "misses"):
+                self.metrics.counter_func(
+                    f"repro_judgement_memo_{field_name}_total",
+                    (lambda f: lambda: getattr(memo, f))(field_name),
+                    "Cross-request subterm judgement memo counters.",
+                )
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -478,14 +515,12 @@ class AnalysisService:
         takes the full ``handle`` path, which re-validates, probes disk,
         coalesces, or schedules as usual.
         """
-        if not self._hot_enabled:
-            return None
         entry = self._hot_keys.get(body)
         if entry is None:
             return None
         started = time.perf_counter()
         op, key = entry
-        report = self.farm.peek(key)
+        report = self._analysis_cache.peek(key)
         if report is None:
             return None
         self.counters["requests"] += 1
@@ -504,13 +539,11 @@ class AnalysisService:
 
     def _report_bytes(self, key: str, report: Any) -> bytes:
         """One JSON encoding per live report object, memoized per key."""
-        if self._hot_reports_enabled:
-            entry = self._hot_reports.get(key)
-            if entry is not None and entry[0] is report:
-                return entry[1]
+        entry = self._hot_reports.get(key)
+        if entry is not None and entry[0] is report:
+            return entry[1]
         data = json.dumps(report.to_dict(), separators=(",", ":")).encode("utf-8")
-        if self._hot_reports_enabled:
-            self._hot_reports.put(key, (report, data))
+        self._hot_reports.put(key, (report, data))
         return data
 
     def remember_key(self, body: bytes, request: Dict[str, Any], response: Dict[str, Any]) -> None:
@@ -520,7 +553,7 @@ class AnalysisService:
         body demands a fresh inference every time, and error/busy/timeout
         responses carry no stable key worth remembering.
         """
-        if not self._hot_enabled or response.get("status") != "ok":
+        if response.get("status") != "ok":
             return
         op = response.get("op")
         if op not in ("analyze", "validate", "tune") or request.get("no_cache"):
@@ -729,12 +762,13 @@ class AnalysisService:
         if not no_cache:
             lookup_started = time.perf_counter()
             tier = "miss"
-            if self.farm.disk is None:
-                cached = self.farm.get(key)  # memory-only: cheap, inline
+            cache = self._analysis_cache
+            if not cache.directory:
+                cached = cache.get(key)  # memory-only: cheap, inline
                 if cached is not None:
                     tier = "memory"
             else:
-                cached = self.farm.peek(key)
+                cached = cache.peek(key)
                 if cached is not None:
                     tier = "memory"
                 else:
@@ -754,7 +788,7 @@ class AnalysisService:
                         # a second inference for the same program.
                         # ``count=False``: the probe above already recorded
                         # this lookup's miss.
-                        cached = self.farm.peek(key, count=False)
+                        cached = cache.peek(key, count=False)
                         if cached is not None:
                             tier = "memory"
             lookup_seconds = time.perf_counter() - lookup_started
@@ -774,7 +808,7 @@ class AnalysisService:
 
         # ``no_cache`` opts out of coalescing too: such a request demands a
         # fresh inference, and letting cache-respecting duplicates ride it
-        # would produce results that never reach the farm.
+        # would produce results that never reach the cache.
         inflight = self._inflight.get(key) if not no_cache else None
         if inflight is not None:
             # Coalesce: ride the in-flight computation instead of queueing
@@ -908,8 +942,8 @@ class AnalysisService:
                 ).observe(value)
         if no_cache:
             return
-        self.farm.put(job.key, report, write_disk=False)
-        if self.farm.disk is not None:
+        self._analysis_cache.put(job.key, report, write_disk=False)
+        if self._analysis_cache.directory:
             # Persist asynchronously (pickle writes + budget eviction can
             # take milliseconds): responses never wait on disk.  Validation
             # results skip the exact-text alias — that key is the batch
@@ -938,32 +972,20 @@ class AnalysisService:
         self, key: str, source: str, kind: str, op: str = "analyze"
     ) -> Any:
         """Blocking cache probe (disk included); runs on the executor."""
-        cached = self.farm.get(key)
-        if cached is None and self.farm.disk is not None and op == "analyze":
-            # The alias probe goes straight to the disk tier: routing it
-            # through the farm would count a second shard miss for one
-            # logical lookup (in a shard the real key doesn't map to) and
-            # duplicate the entry in memory under both keys.
-            alias = self._alias_key(source, kind)
-            if alias != key:
-                cached = self.farm.disk.get(alias, None)
-                if cached is not None:
-                    self.farm.put(key, cached, write_disk=False)
-        return cached
+        alias = self._alias_key(source, kind) if op == "analyze" else None
+        return self._analysis_cache.get(key, alias=alias)
 
     def _persist(
         self, key: str, source: str, kind: str, report: Any, alias_too: bool = True
     ) -> None:
         """Blocking disk write-back; runs on the executor."""
-        disk = self.farm.disk
-        if disk is None:
-            return
-        disk.put(key, report)
+        cache = self._analysis_cache
+        cache.persist(key, report)
         if not alias_too:
             return
         alias = self._alias_key(source, kind)
         if alias != key:
-            disk.put(alias, report)
+            cache.persist(alias, report)
 
     def _ok(
         self,
@@ -1006,13 +1028,34 @@ class AnalysisService:
 
     # -- reporting -----------------------------------------------------------
 
+    def _cache_stats(self) -> Dict[str, Any]:
+        """The ``cache`` block of ``/stats``: memory tier, disk tier, memo."""
+        cache = self._analysis_cache
+        report: Dict[str, Any] = {
+            "entries": cache.entries,
+            **cache.memory_stats().to_dict(),
+            "disk_hits": cache.disk_stats.hits,
+        }
+        if cache.directory:
+            disk_entries, disk_bytes = cache.disk_usage()
+            report["disk"] = {
+                **cache.disk_stats.to_dict(),
+                # Budget-driven disk eviction, not the memory-LRU figure.
+                "evictions": cache.disk_evictions,
+                "entries": disk_entries,
+                "bytes": disk_bytes,
+            }
+        if self.judgement_memo is not None:
+            report["judgement_memo"] = self.judgement_memo.stats()
+        return report
+
     def stats(self) -> Dict[str, Any]:
         """The ``/stats`` payload: service, cache and scheduler counters."""
         out = {
             "uptime_seconds": time.monotonic() - self.started_at,
             "service": dict(self.counters),
             "inflight": len(self._inflight),
-            "cache": self.farm.stats(),
+            "cache": self._cache_stats(),
             "parse_cache": self._analysis_cache.parse_stats.to_dict(),
             "scheduler": self.scheduler.stats(),
             # Process-wide bounded memos (grade add/mul LRUs, intern

@@ -119,6 +119,9 @@ class TestUtilities:
         rendered = A.pretty(term)
         assert "let-bind" in rendered and "rnd a" in rendered
 
+    def test_pretty_prints_constants_past_the_integer_digit_limit(self):
+        assert A.pretty(A.Const(Fraction(10 ** 5000, 7))) == "1" + "0" * 5000 + "/7"
+
     def test_fresh_name_avoids_collisions(self):
         avoid = {"x", "x%0", "x%1"}
         name = A.fresh_name("x", avoid)

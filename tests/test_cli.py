@@ -51,6 +51,23 @@ def bad_grade_dir(tmp_path):
     return tmp_path
 
 
+HUGE_GRADE_SOURCE = """
+function Huge (x: ![1e99999]num) : M[1e99999*eps]num {
+  let [y] = x;
+  rnd y
+}
+"""
+
+
+@pytest.fixture()
+def huge_grade_dir(tmp_path):
+    """A program whose grades pass CPython's 4,300-digit ``str`` limit, next to ``fma.lnum``."""
+    (tmp_path / "huge.lnum").write_text(HUGE_GRADE_SOURCE)
+    with open(os.path.join(EXAMPLES, "fma.lnum")) as handle:
+        (tmp_path / "fma.lnum").write_text(handle.read())
+    return tmp_path
+
+
 class TestCheckCommand:
     def test_check_prints_grades(self, fma_file, capsys):
         assert main(["check", fma_file]) == 0
@@ -97,6 +114,13 @@ class TestCheckCommand:
         assert "Traceback" not in completed.stderr
         assert "invalid grade annotation" in completed.stderr
         assert "line 16" in completed.stderr
+
+    def test_huge_grade_literals_are_printed(self, huge_grade_dir):
+        completed = run_repro("check", str(huge_grade_dir / "huge.lnum"))
+        assert completed.returncode == 0, completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert "(![1" + "0" * 99999 + "]num -o M[eps]num)" in completed.stdout
+        assert "M[1" + "0" * 99999 + "*eps]num [ok]" in completed.stdout
 
     def test_stdin_input(self, fma_file, capsys, monkeypatch):
         import io
@@ -182,6 +206,15 @@ class TestErrorPaths:
         assert programs["horner2.lnum"]["ok"] is False
         assert "line 16" in programs["horner2.lnum"]["error"]
 
+    def test_batch_sweeps_past_a_huge_grade_literal(self, huge_grade_dir, capsys):
+        assert main(["batch", str(huge_grade_dir), "--no-cache", "--json"]) == 0
+        programs = {
+            os.path.basename(entry["name"]): entry
+            for entry in json.loads(capsys.readouterr().out)["programs"]
+        }
+        assert programs["fma.lnum"]["ok"] is True
+        assert programs["huge.lnum"]["ok"] is True
+
     def test_batch_annotation_violation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.lnum"
         bad.write_text("function f (x: num) : M[0]num { rnd x }\n")
@@ -224,6 +257,15 @@ class TestVersionAndWiring:
         build_parser().parse_args(command)
         with pytest.raises(SystemExit):
             build_parser().parse_args([*command, "--engine", "interpreted"])
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("flag", ["--shards", "--shard-entries"])
+    def test_cache_geometry_flags_are_rejected(self, flag, workers):
+        from repro.cli import build_parser
+
+        build_parser().parse_args(["serve", "--workers", workers])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--workers", workers, flag, "4"])
 
     def test_numpy_is_never_imported(self):
         probe = "import sys, repro.cli; print('numpy' in sys.modules)"

@@ -36,6 +36,10 @@ class TestExpressionIR:
     def test_fma_counts_as_one_rounded_operation(self):
         assert E.operation_count(E.Fma(E.Var("a"), E.Var("x"), E.Var("b"))) == 1
 
+    def test_to_string_prints_constants_past_the_integer_digit_limit(self):
+        expr = E.Add(E.Var("x"), E.Const(Fraction(10 ** 5000)))
+        assert E.to_string(expr) == "(x + 1" + "0" * 5000 + ")"
+
     def test_evaluate_exact(self):
         expr = E.Div(E.Var("x"), E.Add(E.Var("x"), E.Var("y")))
         value = E.evaluate_exact(expr, {"x": 1, "y": 3})

@@ -132,6 +132,14 @@ class TestHashingAndDisplay:
     def test_str_mixed(self):
         assert str(EPS + 3) == "3 + eps"
 
+    def test_str_past_the_integer_digit_limit(self):
+        # CPython's int-to-str limit (4,300 digits) stays in force; the
+        # coefficients are printed without it.
+        digits = "1" + "0" * 99999
+        assert str(parse_grade("1e99999")) == digits
+        assert str(parse_grade("1e99999*eps")) == f"{digits}*eps"
+        assert str(Grade.constant(Fraction(10 ** 99999, 3))) == f"{digits}/3"
+
 
 class TestParsing:
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ ephemeral port checks the wire protocol and the blocking client.
 
 import asyncio
 import os
+import sys
 import threading
 
 import pytest
@@ -18,7 +19,6 @@ from repro.analysis.cache import AnalysisCache
 from repro.service import (
     AnalysisServer,
     AnalysisService,
-    CacheFarm,
     PRIORITY_BULK,
     PRIORITY_INTERACTIVE,
     Scheduler,
@@ -65,52 +65,149 @@ async def wait_until(predicate, timeout=10.0):
 
 
 # ---------------------------------------------------------------------------
-# Cache farm
+# The service's one result cache
 # ---------------------------------------------------------------------------
 
 
-class TestCacheFarm:
+def _program(index):
+    return FMA_SOURCE.replace("FMA", f"FMA{index}")
+
+
+class TestResultCache:
     KEY = "deadbeef" * 8
 
-    def test_put_get_roundtrip(self):
-        farm = CacheFarm(shards=4, entries_per_shard=8)
-        farm.put(self.KEY, {"value": 1})
-        assert farm.get(self.KEY) == {"value": 1}
-        assert self.KEY in farm
-        assert farm.get("0" * 64) is None
+    def test_peek_and_alias_probes(self, tmp_path):
+        cache = AnalysisCache(directory=str(tmp_path))
+        cache.put(self.KEY, {"value": 1}, write_disk=False)
+        assert cache.peek(self.KEY) == {"value": 1}
+        # A peek miss is left to the follow-up get to count.
+        assert cache.peek("0" * 64) is None
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
+        assert cache.peek(self.KEY, count=False) == {"value": 1}
+        assert cache.stats.hits == 1
+        # write_disk=False kept the entry in memory only ...
+        assert AnalysisCache(directory=str(tmp_path)).get(self.KEY) is None
+        # ... while persist writes the disk tier alone.
+        cache.persist("1" * 64, "aliased")
+        assert cache.peek("1" * 64) is None
+        fresh = AnalysisCache(directory=str(tmp_path))
+        assert fresh.get("2" * 64, alias="1" * 64) == "aliased"
+        # Promoted under the looked-up key, not the alias.
+        assert fresh.peek("2" * 64) == "aliased"
+        assert fresh.peek("1" * 64) is None
+        memory = fresh.memory_stats()
+        assert (memory.hits, memory.misses, fresh.disk_stats.hits) == (1, 1, 1)
 
-    def test_stats_shape_and_counters(self):
-        farm = CacheFarm(shards=2, entries_per_shard=4)
-        farm.put(self.KEY, 1)
-        farm.get(self.KEY)
-        farm.get("0" * 64)
-        stats = farm.stats()
-        assert stats["shards"] == 2
-        assert stats["hits"] == 1 and stats["misses"] == 1 and stats["puts"] == 1
-        assert len(stats["per_shard"]) == 2
-        assert {"hits", "misses", "puts", "evictions", "entries"} <= set(
-            stats["per_shard"][0]
-        )
+    def test_counters_survive_concurrent_lookups(self, tmp_path):
+        # The event loop, executor threads and inference workers share one
+        # cache; a lost counter update would break these identities.
+        cache = AnalysisCache(directory=str(tmp_path), memory_entries=8)
+        keys = [f"{index:064x}" for index in range(24)]
+        totals = []
 
-    def test_lru_eviction_is_counted(self):
-        farm = CacheFarm(shards=1, entries_per_shard=2)
-        for index in range(4):
-            farm.put(f"{index:08x}" + "0" * 56, index)
-        assert farm.entries == 2
-        assert farm.stats()["evictions"] == 2
+        def worker(seed):
+            gets = peek_hits = puts = writes = 0
+            for step in range(300):
+                key = keys[(seed * 7 + step * 5) % len(keys)]
+                choice = step % 4
+                if choice == 0:
+                    write = step % 8 == 0
+                    cache.put(key, step, write_disk=write)
+                    puts += 1
+                    writes += write
+                elif choice == 1:
+                    cache.get(key, alias=keys[(step + 1) % len(keys)])
+                    gets += 1
+                else:
+                    peek_hits += cache.peek(key) is not None
+            totals.append((gets, peek_hits, puts, writes))
 
-    def test_disk_tier_promotion(self, tmp_path):
-        disk = AnalysisCache(directory=str(tmp_path))
-        farm = CacheFarm(shards=2, entries_per_shard=4, disk=disk)
-        farm.put(self.KEY, "persisted")
-        # A fresh farm over the same directory misses memory, hits disk.
-        rebooted = CacheFarm(shards=2, entries_per_shard=4, disk=AnalysisCache(directory=str(tmp_path)))
-        assert rebooted.get(self.KEY) == "persisted"
-        assert rebooted.disk_hits == 1
-        # And the value was promoted: the second read is a memory hit.
-        assert rebooted.get(self.KEY) == "persisted"
-        assert rebooted.disk_hits == 1
-        assert "disk" in rebooted.stats()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        gets, peek_hits, puts, writes = (sum(column) for column in zip(*totals))
+        assert cache.stats.lookups == gets + peek_hits
+        assert cache.stats.puts == puts + cache.disk_stats.hits
+        assert cache.disk_stats.puts == writes
+        assert cache.entries <= 8
+
+    def test_lru_eviction_is_counted(self, monkeypatch):
+        monkeypatch.setattr("repro.service.server.RESULT_CACHE_ENTRIES", 2)
+
+        async def scenario():
+            service = await make_service()
+            for index in range(4):
+                response = await service.handle(
+                    {"op": "analyze", "source": _program(index)}
+                )
+                assert response["status"] == "ok", response
+            cache = (await service.handle({"op": "stats"}))["stats"]["cache"]
+            assert cache["entries"] == 2
+            assert cache["puts"] == 4
+            assert cache["evictions"] == 2
+            await service.stop()
+
+        run(scenario())
+
+    def test_restart_serves_from_disk(self, tmp_path):
+        async def scenario():
+            service = await make_service(cache_dir=str(tmp_path))
+            first = await service.handle({"op": "analyze", "source": FMA_SOURCE})
+            assert not first["cached"]
+            # The disk write-back runs off the event loop.
+            await wait_until(lambda: service.stats()["cache"]["disk"]["entries"] >= 1)
+            await service.stop()
+
+            rebooted = await make_service(cache_dir=str(tmp_path))
+            again = await rebooted.handle({"op": "analyze", "source": FMA_SOURCE})
+            assert again["cached"] and again["report"] == first["report"]
+            cache = rebooted.stats()["cache"]
+            assert cache["disk_hits"] == 1
+            assert (cache["hits"], cache["misses"]) == (0, 1)
+            # Promoted into memory: the second read is a memory hit.
+            third = await rebooted.handle({"op": "analyze", "source": FMA_SOURCE})
+            assert third["cached"]
+            cache = rebooted.stats()["cache"]
+            assert cache["disk_hits"] == 1
+            assert cache["hits"] == 1
+            assert rebooted.counters["inferences"] == 0
+            await rebooted.stop()
+
+        run(scenario())
+
+    def test_stats_cache_block_shape(self, tmp_path):
+        async def scenario():
+            service = await make_service(cache_dir=str(tmp_path))
+            await service.handle({"op": "analyze", "source": FMA_SOURCE})
+            await service.handle({"op": "analyze", "source": FMA_SOURCE})
+            cache = (await service.handle({"op": "stats"}))["stats"]["cache"]
+            assert {
+                "hits", "misses", "lookups", "puts", "evictions", "entries",
+                "disk_hits", "disk", "judgement_memo",
+            } <= set(cache)
+            assert "shards" not in cache and "per_shard" not in cache
+            assert cache["hits"] == 1 and cache["misses"] == 1 and cache["puts"] == 1
+            assert cache["lookups"] == 2 and cache["entries"] == 1
+            assert {"hits", "misses", "puts", "evictions", "entries", "bytes"} <= set(
+                cache["disk"]
+            )
+            await service.stop()
+
+            memory_only = await make_service()
+            await memory_only.handle({"op": "analyze", "source": FMA_SOURCE})
+            cache = memory_only.stats()["cache"]
+            assert "disk" not in cache and cache["disk_hits"] == 0
+            await memory_only.stop()
+
+        run(scenario())
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +530,7 @@ class TestAnalysisService:
         service = AnalysisService(ServiceConfig(jobs=2))
         assert service.judgement_memo is None
         assert service.scheduler.judgement_memo is None
-        assert "judgement_memo" not in service.farm.stats()
+        assert "judgement_memo" not in service.stats()["cache"]
 
     def test_worker_reuses_the_admission_parse(self):
         async def scenario():
@@ -526,6 +623,28 @@ class TestAnalysisService:
                 assert response["report"]["ok"] is False
                 assert "invalid grade annotation" in response["report"]["error"]
                 assert "line 16" in response["report"]["error"]
+            await service.stop()
+
+        run(scenario())
+
+    def test_huge_grade_literals_are_analyzed(self):
+        # Grades past CPython's 4,300-digit int-to-str limit print in full
+        # instead of failing the request with a 500.
+        source = (
+            "function Huge (x: ![1e99999]num) : M[1e99999*eps]num {\n"
+            "  let [y] = x;\n"
+            "  rnd y\n"
+            "}\n"
+        )
+
+        async def scenario():
+            service = await make_service()
+            response = await service.handle({"op": "analyze", "source": source})
+            assert response["status"] == "ok", response
+            report = response["report"]
+            assert report["ok"] is True, report
+            (function,) = report["functions"]
+            assert function["type"] == "(![1" + "0" * 99999 + "]num -o M[eps]num)"
             await service.stop()
 
         run(scenario())
@@ -772,7 +891,7 @@ class TestAnalysisService:
                 "busy",
                 "timeouts",
             } <= set(stats["service"])
-            assert {"hits", "misses", "per_shard", "shards"} <= set(stats["cache"])
+            assert {"hits", "misses", "entries", "disk_hits"} <= set(stats["cache"])
             assert {"queue_depth", "shed", "lanes"} <= set(stats["scheduler"])
             await service.stop()
 
